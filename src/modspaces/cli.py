@@ -19,9 +19,8 @@ Exit codes: 0 when every invoked check passes, 1 when a check fails,
 
 A JSON config file (--config) can override the per-family settings
 (grid sizes, domains, tolerances, weight parameters); the schema is
-the flat per-family key tables documented in the README.  The
-MODSPACES_WORKERS environment variable (or a "workers" config key,
-which wins) sets the worker count used by the sweep and scan layers.
+the flat per-family key tables documented in the README.  Sweeps and
+scans run sequentially; there is no worker-count setting.
 """
 
 from __future__ import annotations
@@ -81,18 +80,6 @@ from .weights import WeightSpec, analyze_weight, verify_weight_inequality
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
-
-
-def _workers(config: dict) -> int:
-    if "workers" in config:
-        return max(1, int(config["workers"]))
-    env = os.environ.get("MODSPACES_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _emit(command: str, passed: bool, result: dict, started: float) -> int:
@@ -191,7 +178,6 @@ def verify_weights(profile: str, config: dict) -> tuple[bool, dict]:
               "loglog_step": 0.5, "loglog_random": 100_000,
               "sharpness_probe": True, "elementary_points": 200_001},
         config=config, family="weights")
-    workers = _workers(config)
 
     ana = analyze_weight()
     analysis = {"t0": ana.t0, "p0": ana.p0,
@@ -204,25 +190,25 @@ def verify_weights(profile: str, config: dict) -> tuple[bool, dict]:
     for s in st["gevrey_s"]:
         rep = verify_weight_inequality(
             "gevrey", {"s": s},
-            {"n": 1, "radius": st["gevrey_radius_1d"]}, workers=workers)
+            {"n": 1, "radius": st["gevrey_radius_1d"]})
         checks.append(rep.to_dict())
         if st["gevrey_radius_2d"]:
             rep2 = verify_weight_inequality(
                 "gevrey", {"s": s},
-                {"n": 2, "radius": st["gevrey_radius_2d"]}, workers=workers)
+                {"n": 2, "radius": st["gevrey_radius_2d"]})
             checks.append(rep2.to_dict())
 
     rep = verify_weight_inequality(
         "loglog", {},
         {"grid_max": st["loglog_grid_max"], "step": st["loglog_step"],
-         "n_random": st["loglog_random"]}, workers=workers)
+         "n_random": st["loglog_random"]})
     checks.append(rep.to_dict())
 
     if st["sharpness_probe"]:
         probe = verify_weight_inequality(
             "loglog", {"s": 0.99},
             {"grid_max": st["loglog_grid_max"], "step": st["loglog_step"],
-             "n_random": st["loglog_random"]}, workers=workers)
+             "n_random": st["loglog_random"]})
         d = probe.to_dict()
         d["kind"] = "loglog_sharpness_probe"
         # The probe passes when the inequality is violated: s = 0.99 is

@@ -207,14 +207,9 @@ def constant_c3(regime: str, q: float, n: int, s: float | None = None,
             return 1.0
         return math.exp(-rate(0.0))
 
-    if n == 1:
-        ms = np.arange(-m_max, m_max + 1, dtype=float)
-        rr = np.abs(ms)
-    else:
-        # radial shells: count lattice points per squared radius
-        side = np.arange(-m_max, m_max + 1, dtype=np.int64)
-        # full 2D enumeration is too large; use shell counts via r^2 histogram
+    if n != 1:
         raise NotImplementedError("c3 lattice sum implemented for n = 1")
+    rr = np.abs(np.arange(-m_max, m_max + 1, dtype=float))
     expo = -qp * rate(rr)
     total = float(np.sum(np.exp(expo)))
     return total ** (1.0 / qp)

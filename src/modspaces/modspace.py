@@ -21,6 +21,13 @@ Norms:
   * stft_norm         short-time transform norm: inner L^p in the
                       window shift, outer weighted l^q in frequency
 
+Lattice mode is evaluated in closed form: box_k f is the single
+exponential F_k e^{i k.x} (2pi)^(-n/2), so ||box_k f||_p =
+|F_k| (2pi)^(n/2) (2L)^(n/p - n) and the norm is one weighted l^q sum
+over the coefficients.  Continuum mode inverts sigma_k * F per cell.
+The per-cell route box_k + lp_norm stays public; the tests use it as
+the independent dual route of the lattice closed form.
+
 Both norms accept p = inf / q = inf (suprema).  Truncation of the k
 sum is explicit: spectral mass outside |xi|_inf <= k_max - 1 beyond
 1e-9 (relative) raises a TruncationWarning.
@@ -33,17 +40,16 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .partition import WindowFunction, _sigma_axis, build_window
+from .partition import _sigma_axis
 from .weights import VerificationReport, WeightSpec, weight_eval
 
 __all__ = [
     "TruncationWarning",
     "SampledFunction",
-    "Spectrum",
     "NormParams",
     "synthesize",
     "from_spectrum",
@@ -121,49 +127,32 @@ class SampledFunction:
     def spectrum(self) -> np.ndarray:
         """Normalized spectral coefficients in FFT storage order."""
         if self._spectrum is None:
-            phase = _alternating(self.N, self.n)
+            phase, scale = _normalization(self.n, self.L, self.N)
             raw = np.fft.fftn(self.values)
-            scale = self.cell_volume * (2.0 * math.pi) ** (-0.5 * self.n)
             object.__setattr__(self, "_spectrum", scale * phase * raw)
         return self._spectrum
-
-    def spectrum_obj(self) -> "Spectrum":
-        return Spectrum(n=self.n, L=self.L, N=self.N, coeffs=self.spectrum.copy())
 
     def copy_with(self, values: np.ndarray) -> "SampledFunction":
         return SampledFunction(self.n, self.L, self.N, values)
 
 
-def _alternating(N: int, n: int) -> np.ndarray:
-    """(-1)^(m_1+...+m_n) in FFT storage order: the e^{i xi_m L} phase."""
+def _normalization(n: int, L: float, N: int) -> tuple[np.ndarray, float]:
+    """(phase, scale) of the forward transform F = scale * phase * fftn(values).
+
+    phase is (-1)^(m_1+...+m_n) in FFT storage order (the e^{i xi_m L}
+    shift to the grid origin -L); scale is (2L/N)^n * (2pi)^(-n/2).
+    """
     m = np.fft.fftfreq(N, d=1.0 / N).astype(np.int64)
-    s = np.where(m % 2 == 0, 1.0, -1.0)
-    if n == 1:
-        return s
-    return s[:, None] * s[None, :]
-
-
-@dataclass
-class Spectrum:
-    """Spectral coefficients with their frequency bookkeeping."""
-
-    n: int
-    L: float
-    N: int
-    coeffs: np.ndarray
-
-    def index_axis(self) -> np.ndarray:
-        return np.fft.fftfreq(self.N, d=1.0 / self.N).astype(np.int64)
-
-    def xi_axis(self) -> np.ndarray:
-        return math.pi * self.index_axis() / self.L
+    phase = np.where(m % 2 == 0, 1.0, -1.0)
+    if n == 2:
+        phase = phase[:, None] * phase[None, :]
+    return phase, (2.0 * L / N) ** n * (2.0 * math.pi) ** (-0.5 * n)
 
 
 def from_spectrum(n: int, L: float, N: int, coeffs: np.ndarray) -> SampledFunction:
     """Build a SampledFunction whose spectrum equals coeffs (FFT order)."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    phase = _alternating(N, n)
-    scale = (2.0 * L / N) ** n * (2.0 * math.pi) ** (-0.5 * n)
+    phase, scale = _normalization(n, L, N)
     values = np.fft.ifftn(coeffs * phase / scale)
     f = SampledFunction(n, L, N, values)
     object.__setattr__(f, "_spectrum", coeffs.copy())
@@ -268,15 +257,9 @@ def synthesize(kind: str, *, n: int = 1, L: float = math.pi, N: int = 256,
 # block operators and norms
 # ---------------------------------------------------------------------
 
-def _axis_sigma_rows(f: SampledFunction, ks: np.ndarray, mode: str) -> np.ndarray:
+def _axis_sigma_rows(f: SampledFunction, ks: np.ndarray) -> np.ndarray:
     """Matrix rows sigma-axis-factor[k, m] on f's frequency axis."""
     xi = f.xi_axis()
-    if mode == "lattice":
-        rows = np.zeros((ks.size, f.N))
-        m = f.index_axis()
-        for i, k in enumerate(ks):
-            rows[i] = (m == k).astype(float)
-        return rows
     rows = np.empty((ks.size, f.N))
     for i, k in enumerate(ks):
         rows[i] = _sigma_axis(xi, int(k))
@@ -290,8 +273,7 @@ def _check_mode(f: SampledFunction, mode: str):
         raise ValueError("lattice mode requires L = pi (integer frequency grid)")
 
 
-def box_k(f: SampledFunction, k, w: WindowFunction | None = None,
-          mode: str = "lattice") -> SampledFunction:
+def box_k(f: SampledFunction, k, mode: str = "lattice") -> SampledFunction:
     """Block operator: multiply the spectrum by sigma_k and invert.
 
     lattice mode (L = pi): sigma_k at integer frequencies is the
@@ -302,14 +284,15 @@ def box_k(f: SampledFunction, k, w: WindowFunction | None = None,
     ks = (int(k),) if np.ndim(k) == 0 else tuple(int(v) for v in k)
     if len(ks) != f.n:
         raise ValueError(f"lattice index must have length {f.n}")
-    if w is None:
-        w = build_window(f.n)
     F = f.spectrum
-    fac0 = _axis_sigma_rows(f, np.array([ks[0]]), mode)[0]
-    if f.n == 1:
-        G = F * fac0
+    if mode == "lattice":
+        m = f.index_axis()
+        keep = (m == ks[0]) if f.n == 1 else np.outer(m == ks[0], m == ks[1])
+        G = np.where(keep, F, 0.0)
+    elif f.n == 1:
+        G = F * _axis_sigma_rows(f, np.array(ks))[0]
     else:
-        fac1 = _axis_sigma_rows(f, np.array([ks[1]]), mode)[0]
+        fac0, fac1 = _axis_sigma_rows(f, np.array(ks))
         G = F * fac0[:, None] * fac1[None, :]
     return from_spectrum(f.n, f.L, f.N, G)
 
@@ -377,37 +360,48 @@ def _tail_fraction(f: SampledFunction, k_max: int) -> float:
     return out / total
 
 
-def _k_cells(n: int, k_max: int) -> list[tuple]:
-    rng = range(-k_max, k_max + 1)
+def _k_cells(n: int, lo: int, hi: int) -> np.ndarray:
+    """Lattice points of the box [lo, hi]^n as (M, n) rows in sorted order."""
+    side = np.arange(lo, hi + 1)
     if n == 1:
-        return [(k,) for k in rng]
-    return [(a, b) for a in rng for b in rng]
+        return side[:, None]
+    a, b = np.meshgrid(side, side, indexing="ij")
+    return np.stack([a.ravel(), b.ravel()], axis=-1)
 
 
-def _block_lp_norms(f: SampledFunction, cells: Sequence[tuple], mode: str,
-                    p) -> np.ndarray:
-    """L^p norms of box_k f for each k in cells, batched over k."""
+def _lattice_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarray, np.ndarray]:
+    """Cells |k|_inf <= k_max with a nonzero coefficient, and their block L^p norms.
+
+    At L = pi, box_k f is the single exponential F_k e^{i k.x} (2pi)^(-n/2),
+    so ||box_k f||_p = |F_k| (2pi)^(n/2) (2L)^(n/p - n).  Indices run
+    over the grid's storage range [-N/2, N/2 - 1]; exactly-zero
+    coefficients are dropped, so a zero block never meets its weight.
+    """
+    cells = _k_cells(f.n, -k_max, min(k_max, f.N // 2 - 1))
+    coeffs = f.spectrum[tuple((cells % f.N).T)]
+    keep = coeffs != 0
+    inv_p = 0.0 if p == math.inf else 1.0 / float(p)
+    factor = (2.0 * math.pi) ** (0.5 * f.n) * (2.0 * f.L) ** (f.n * inv_p - f.n)
+    return cells[keep], factor * np.abs(coeffs[keep])
+
+
+def _continuum_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarray, np.ndarray]:
+    """Cells |k|_inf <= k_max and the L^p norms of box_k f, batched inverse FFTs."""
     F = f.spectrum
-    phase = _alternating(f.N, f.n)
-    scale = f.cell_volume * (2.0 * math.pi) ** (-0.5 * f.n)
+    phase, scale = _normalization(f.n, f.L, f.N)
     vol = f.cell_volume
-
-    ks0 = np.array(sorted({c[0] for c in cells}))
-    rows0 = {int(k): r for k, r in zip(ks0, _axis_sigma_rows(f, ks0, mode))}
-    if f.n == 2:
-        ks1 = np.array(sorted({c[1] for c in cells}))
-        rows1 = {int(k): r for k, r in zip(ks1, _axis_sigma_rows(f, ks1, mode))}
+    cells = _k_cells(f.n, -k_max, k_max)
+    rows = _axis_sigma_rows(f, np.arange(-k_max, k_max + 1))
 
     out = np.zeros(len(cells))
     chunk = 64 if f.n == 1 else 16
     for start in range(0, len(cells), chunk):
-        block = cells[start : start + chunk]
+        block = cells[start : start + chunk] + k_max
         if f.n == 1:
-            fac = np.stack([rows0[c[0]] for c in block])
-            G = F[None, :] * fac
+            G = F[None, :] * rows[block[:, 0]]
             vals = np.fft.ifft(G * phase[None, :] / scale, axis=1)
         else:
-            fac = np.stack([rows0[c[0]][:, None] * rows1[c[1]][None, :] for c in block])
+            fac = rows[block[:, 0]][:, :, None] * rows[block[:, 1]][:, None, :]
             G = F[None, :, :] * fac
             vals = np.fft.ifft2(G * phase[None, :, :] / scale, axes=(1, 2))
         a = np.abs(vals).reshape(len(block), -1)
@@ -415,27 +409,26 @@ def _block_lp_norms(f: SampledFunction, cells: Sequence[tuple], mode: str,
             out[start : start + len(block)] = np.max(a, axis=1)
         else:
             out[start : start + len(block)] = (vol * np.sum(a ** float(p), axis=1)) ** (1.0 / float(p))
-    return out
+    return cells, out
 
 
-def mod_norm(f: SampledFunction, params: NormParams,
-             w: WindowFunction | None = None) -> float:
+def mod_norm(f: SampledFunction, params: NormParams) -> float:
     """Decomposition-form modulation norm of f."""
-    return mod_norm_record(f, params, w)["value"]
+    return mod_norm_record(f, params)["value"]
 
 
-def mod_norm_record(f: SampledFunction, params: NormParams,
-                    w: WindowFunction | None = None) -> dict:
+def mod_norm_record(f: SampledFunction, params: NormParams) -> dict:
     """Decomposition norm with its JSON-ready provenance record.
 
     Aggregates weight(k) * ||box_k f||_p over |k|_inf <= k_max in
     sorted index order (deterministic reduction); q = inf uses the
-    supremum.  Emits TruncationWarning when the relative spectral
-    mass outside |xi|_inf <= k_max-1 exceeds 1e-9.
+    supremum.  Lattice blocks come from the closed form, continuum
+    blocks from inverting sigma_k * F.  Emits TruncationWarning when
+    the relative spectral mass outside |xi|_inf <= k_max-1 exceeds 1e-9.
     """
     _check_mode(f, params.mode)
-    if w is None:
-        w = build_window(f.n)
+    if params.q < 1:
+        raise ValueError("q must be >= 1")
     k_max = params.resolved_k_max(f)
     tail = _tail_fraction(f, k_max)
     warns: list[str] = []
@@ -445,37 +438,16 @@ def mod_norm_record(f: SampledFunction, params: NormParams,
         warns.append(msg)
         warnings.warn(msg, TruncationWarning, stacklevel=2)
 
-    cells = _k_cells(f.n, k_max)
-
-    if params.mode == "lattice":
-        # keep only cells whose single surviving coefficient is nonzero
-        F = f.spectrum
-        idx = f.index_axis()
-        lookup = {int(m): i for i, m in enumerate(idx)}
-        kept = []
-        for c in cells:
-            pos = tuple(lookup.get(v) for v in c)
-            if any(v is None for v in pos):
-                continue
-            coeff = F[pos if f.n == 2 else pos[0]]
-            if coeff != 0:
-                kept.append(c)
-        cells = kept if kept else []
-
-    if not cells:
-        return {"params": params.to_dict(), "value": 0.0,
-                "truncation_tail": tail, "warnings": warns}
-
-    block = _block_lp_norms(f, cells, params.mode, params.p)
-    wts = np.array([weight_eval(params.weight, c) for c in cells])
-    terms = wts * block
-    if params.q == math.inf:
-        value = float(np.max(terms))
-    else:
-        q = float(params.q)
-        if q < 1:
-            raise ValueError("q must be >= 1")
-        value = float(np.sum(terms**q) ** (1.0 / q))
+    block_norms = _lattice_block_norms if params.mode == "lattice" else _continuum_block_norms
+    cells, block = block_norms(f, k_max, params.p)
+    value = 0.0
+    if block.size:
+        terms = weight_eval(params.weight, cells) * block
+        if params.q == math.inf:
+            value = float(np.max(terms))
+        else:
+            q = float(params.q)
+            value = float(np.sum(terms**q) ** (1.0 / q))
     return {"params": params.to_dict(), "value": value,
             "truncation_tail": tail, "warnings": warns}
 
@@ -496,8 +468,7 @@ def stft_norm(f: SampledFunction, p, q, weight: WeightSpec,
     if (window.n, window.L, window.N) != (f.n, f.L, f.N):
         raise ValueError("window grid does not match the function grid")
 
-    phase = _alternating(f.N, f.n)
-    scale = f.cell_volume * (2.0 * math.pi) ** (-0.5 * f.n)
+    phase, scale = _normalization(f.n, f.L, f.N)
     vol = f.cell_volume
     wv = np.conj(window.values)
 
@@ -589,7 +560,6 @@ def refine(f: SampledFunction, factor: int = 2) -> SampledFunction:
 
 def check_algebra_ratio(corpus: Iterable[tuple], params: NormParams,
                         p1: float | None = None, p2: float | None = None,
-                        w: WindowFunction | None = None,
                         refine_check: bool = True) -> VerificationReport:
     """Product-norm ratios over a corpus of (f, g) pairs.
 
@@ -658,8 +628,7 @@ def estimate_gevrey_constant(f: SampledFunction, s: float,
     F = f.spectrum
     if not np.any(F):
         return 0.0
-    phase = _alternating(f.N, f.n)
-    scale = f.cell_volume * (2.0 * math.pi) ** (-0.5 * f.n)
+    phase, scale = _normalization(f.n, f.L, f.N)
     xi = f.xi_axis()
     best = 0.0
     if f.n == 1:

@@ -281,16 +281,7 @@ class VerificationReport:
 LOG_TOL = 1e-12  # absolute tolerance for "margin >= 0" in the log domain
 
 
-def _merge_min(candidates):
-    """Deterministic merge of (margin, point) partition minima."""
-    best = None
-    for margin, point in candidates:
-        if best is None or margin < best[0]:
-            best = (margin, point)
-    return best
-
-
-def _sweep_gevrey(s: float, radius: int, n: int, workers: int):
+def _sweep_gevrey(s: float, radius: int, n: int):
     """Min margin of the triangle-type exponent bound on a lattice box.
 
     Margin(k,l) = |l|^(1/s) + |l-k|^(1/s)
@@ -345,7 +336,7 @@ def _sweep_gevrey(s: float, radius: int, n: int, workers: int):
 
 
 def _sweep_loglog(s: float, grid_max: float, step: float, n_random: int, seed: int,
-                  random_max: float, workers: int):
+                  random_max: float):
     """Min margin of w(x) <= w(y) + w(x-y) - s*min(w(y), w(x-y)).
 
     The rectangular grid is uniform with the given step, so w(|x-y|)
@@ -402,8 +393,7 @@ def _sweep_elementary(eps: float, xi_max: float, n_points: int):
 
 
 def verify_weight_inequality(kind: str, params: dict | None = None,
-                             domain: dict | None = None,
-                             workers: int | None = None) -> VerificationReport:
+                             domain: dict | None = None) -> VerificationReport:
     """Sweep one of the three weight inequalities and report margins.
 
     kind = "gevrey": exponent triangle bound with subtraction factor
@@ -420,7 +410,6 @@ def verify_weight_inequality(kind: str, params: dict | None = None,
     """
     params = dict(params or {})
     domain = dict(domain or {})
-    workers = workers or 1
 
     if kind == "gevrey":
         s = float(params.get("s", 2.0))
@@ -430,7 +419,7 @@ def verify_weight_inequality(kind: str, params: dict | None = None,
         if n not in (1, 2):
             raise ValueError("n must be 1 or 2")
         radius = int(domain.get("radius", 200 if n == 1 else 40))
-        margin, worst, count = _sweep_gevrey(s, radius, n, workers)
+        margin, worst, count = _sweep_gevrey(s, radius, n)
         desc = f"integer box |k|_inf,|l|_inf <= {radius}, n={n}"
         params = {"s": s, "delta": 2.0 - 2.0 ** (1.0 / s)}
     elif kind == "loglog":
@@ -443,7 +432,7 @@ def verify_weight_inequality(kind: str, params: dict | None = None,
         seed = int(domain.get("seed", 20260814))
         random_max = float(domain.get("random_max", 1e6))
         margin, worst, count = _sweep_loglog(s, grid_max, step, n_random, seed,
-                                             random_max, workers)
+                                             random_max)
         desc = (f"grid [0,{grid_max:g}]^2 step {step:g} "
                 f"+ {n_random} random points in [0,{random_max:g}]^2 (seed {seed})")
         params = {"s": s}

@@ -192,6 +192,68 @@ def test_mod_norm_two_modes_q_aggregation():
     assert mod_norm(f, NormParams(2.0, math.inf, spec)) == pytest.approx(expect_sup, rel=1e-12)
 
 
+def _block_route(f, p):
+    """Cells with a nonzero block and their ||box_k f||_p, one block at a time."""
+    half = f.N // 2
+    side = range(-half, half + 1)
+    cells = [(k,) for k in side] if f.n == 1 else [(a, b) for a in side for b in side]
+    blocks = [(c, lp_norm(box_k(f, c), p)) for c in cells]
+    return [(c, blk) for c, blk in blocks if blk != 0.0]
+
+
+def _weighted_lq(blocks, weight, q):
+    terms = np.array([weight_eval(weight, c) * blk for c, blk in blocks])
+    if q == math.inf:
+        return float(np.max(terms))
+    return float(np.sum(terms**q) ** (1.0 / q))
+
+
+@pytest.mark.filterwarnings("ignore::modspaces.modspace.TruncationWarning")
+@pytest.mark.parametrize("n,N", [(1, 256), (2, 32)])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_mod_norm_lattice_matches_block_route(n, N, p):
+    # The lattice norm is a closed form in the coefficients; box_k +
+    # lp_norm inverts each block separately, the independent route.
+    # Random samples give a recomputed spectrum with every mode nonzero.
+    rng = np.random.default_rng(70 + n)
+    shape = (N,) if n == 1 else (N, N)
+    f = SampledFunction(n, PI, N, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    assert np.all(f.spectrum != 0)
+    blocks = _block_route(f, p)
+    for spec in (WeightSpec.gevrey(2.0), WeightSpec.loglog(), WeightSpec.polynomial(1.5)):
+        for q in (1.0, 2.0, math.inf):
+            got = mod_norm(f, NormParams(p, q, spec))
+            assert got == pytest.approx(_weighted_lq(blocks, spec, q), rel=1e-13)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_mod_norm_lattice_zero_coefficient_at_infinite_weight():
+    # 2^(10|k|) overflows to inf beyond |k| ~ 102.4; the coefficients
+    # there are exactly zero, and 0 * inf must not turn the norm into NaN.
+    coeffs = np.zeros(256, dtype=np.complex128)
+    coeffs[[1, 2, 5, -3]] = [1.0, 0.5j, -2.0, 0.25]
+    f = from_spectrum(1, PI, 256, coeffs)
+    spec = WeightSpec.exponential(10.0)
+    assert weight_eval(spec, 110) == math.inf
+    blocks = _block_route(f, 2.0)
+    for q in (1.0, 2.0, math.inf):
+        got = mod_norm(f, NormParams(2.0, q, spec))
+        assert math.isfinite(got)
+        assert got == pytest.approx(_weighted_lq(blocks, spec, q), rel=1e-13)
+
+
+def test_mod_norm_lattice_on_cached_spectrum_needs_no_fft(monkeypatch):
+    f = synthesize("random_bandlimited", n=2, B=6.0, N=32, seed=8)
+    f.spectrum  # cache it before the transforms are blocked
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("lattice norm ran an FFT")
+
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, no_fft)
+    assert mod_norm(f, NormParams(2.0, 1.0, WeightSpec.gevrey(2.0))) > 0.0
+
+
 def test_mod_norm_lattice_equals_continuum_at_integer_period():
     # At L = pi the window restricted to the xi grid is a Kronecker
     # delta, so the two modes must agree to rounding.

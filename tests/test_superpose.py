@@ -209,6 +209,46 @@ def test_fit_growth_envelope_recovers_synthetic_bound():
     assert fit["max_residual"] <= np.max(lhs)
 
 
+# Pooled (norm, lhs) points of the full campaign's growth-envelope check:
+# five fixtures scaled to gevrey norm 0.5, lambda in {2, 4, 8, 16}.
+_CAMPAIGN_NORMS = [
+    1.0000000000000142, 2.0000000000000284, 4.000000000000057, 8.000000000000114,
+    0.9999999999999212, 1.9999999999998423, 3.9999999999996847, 7.999999999999369,
+    1.0000000000000302, 2.0000000000000604, 4.000000000000121, 8.000000000000242,
+    1.000000000000031, 2.000000000000062, 4.000000000000124, 8.000000000000249,
+    1.0000000000000848, 2.0000000000001696, 4.000000000000339, 8.000000000000679,
+]
+_CAMPAIGN_LHS = [
+    1.0092322155167488, 2.0371821185404113, 4.150775115236044, 8.61888400474895,
+    1.0097689996851509, 2.0392026043744504, 4.157788530382738, 8.638445042116468,
+    1.0123309764149, 2.049507982955969, 4.199565593702042, 8.811010883726091,
+    1.0082230064204558, 2.0329399605921314, 4.132167403898088, 8.531914946895531,
+    1.0096355682838936, 2.038737271717415, 4.156739249335571, 8.646097795751762,
+]
+
+
+@pytest.mark.parametrize(
+    "regime,rparams",
+    [("gevrey", {"s": 2.0}), ("loglog", {"theta": 1.5, "N": 3.0})],
+)
+def test_fit_growth_envelope_b_is_stable_under_round_off(regime, rparams):
+    # On these points the worst slack is flat in b to ~2e-13 relative
+    # over the low end of the grid, so a plain argmin follows round-off.
+    # The tie rule must pick the same, mildest b however the inputs
+    # move at that level.
+    vs = np.array(_CAMPAIGN_NORMS)
+    lhs = np.array(_CAMPAIGN_LHS)
+    base = fit_growth_envelope(vs, lhs, regime, rparams)
+    assert base["b"] == pytest.approx(1e-3, rel=1e-12)  # first grid point
+    for scale in (1.0 + 1e-14, 1.0 - 1e-14):
+        assert fit_growth_envelope(vs, lhs * scale, regime, rparams)["b"] == base["b"]
+    for seed in range(6):
+        noise = np.random.default_rng(seed).uniform(-1.0, 1.0, vs.size)
+        moved = fit_growth_envelope(vs * (1.0 + 1e-13 * noise), lhs, regime, rparams)
+        assert moved["b"] == base["b"]
+        assert moved["min_residual"] >= 0.0
+
+
 def test_fit_growth_envelope_validation():
     with pytest.raises(ValueError):
         fit_growth_envelope([], [], "gevrey")
