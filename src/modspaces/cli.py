@@ -117,6 +117,13 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _float_token(v: float):
+    """v itself when finite, else the strict-JSON token "inf", "-inf" or "nan"."""
+    if math.isfinite(v):
+        return v
+    return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
+
+
 def _parse_weight(text: str) -> WeightSpec:
     """Parse 'kind' or 'kind:key=val,key=val', e.g. 'gevrey:s=2'."""
     kind, _, tail = text.partition(":")
@@ -528,12 +535,14 @@ def cmd_norm(args, config: dict) -> int:
     result = {
         "file": os.path.basename(args.file),
         "header": header,
-        "value": rec["value"],
-        "truncation_tail": rec["truncation_tail"],
+        "value": _float_token(rec["value"]),
+        "truncation_tail": _float_token(rec["truncation_tail"]),
         "params": rec["params"],
         "warnings": rec["warnings"],
     }
-    return _emit(f"norm {os.path.basename(args.file)}", True, result, started)
+    # A norm that overflowed or came out NaN is not a result.
+    passed = math.isfinite(rec["value"])
+    return _emit(f"norm {os.path.basename(args.file)}", passed, result, started)
 
 
 def cmd_constants_table(args, config: dict) -> int:

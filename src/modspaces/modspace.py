@@ -24,9 +24,18 @@ Norms:
 Lattice mode is evaluated in closed form: box_k f is the single
 exponential F_k e^{i k.x} (2pi)^(-n/2), so ||box_k f||_p =
 |F_k| (2pi)^(n/2) (2L)^(n/p - n) and the norm is one weighted l^q sum
-over the coefficients.  Continuum mode inverts sigma_k * F per cell.
-The per-cell route box_k + lp_norm stays public; the tests use it as
-the independent dual route of the lattice closed form.
+over the coefficients.  The per-cell route box_k + lp_norm stays
+public; the tests use it as the independent dual route of the lattice
+closed form.
+
+Continuum mode at p = 2 uses discrete Parseval, ||box_k f||_2^2 =
+(pi/L)^n sum_m sigma_k(xi_m)^2 |F_m|^2, for all cells at once; other p
+invert sigma_k * F per cell with batched inverse FFTs, which the tests
+also run at p = 2 as the dual route.  Either way, cells whose
+sigma_k * F is exactly zero are dropped, as in lattice mode.  The STFT
+norm at p = 2 uses the correlation identity: the sum over shifts of
+|V(x, xi_m)|^2 is a direct circular sum of |F|^2 against the window's
+|spectrum|^2; other p run one transform per shift, the dual route.
 
 Both norms accept p = inf / q = inf (suprema).  Truncation of the k
 sum is explicit: spectral mass outside |xi|_inf <= k_max - 1 beyond
@@ -257,12 +266,32 @@ def synthesize(kind: str, *, n: int = 1, L: float = math.pi, N: int = 256,
 # block operators and norms
 # ---------------------------------------------------------------------
 
-def _axis_sigma_rows(f: SampledFunction, ks: np.ndarray) -> np.ndarray:
-    """Matrix rows sigma-axis-factor[k, m] on f's frequency axis."""
+def _axis_sigma_band(f: SampledFunction,
+                     ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries (row, col, value) of the axis-factor matrix sigma_k(xi_m).
+
+    Row i (cell ks[i]) vanishes outside the band |xi_m - k| < 1, at most
+    ceil(2L/pi) + 1 grid points, so only that band (and one point of
+    margin on each side) is evaluated, in one vectorized call; col is
+    the storage index of xi_m.
+    """
     xi = f.xi_axis()
-    rows = np.empty((ks.size, f.N))
-    for i, k in enumerate(ks):
-        rows[i] = _sigma_axis(xi, int(k))
+    per_unit = f.L / math.pi
+    offsets = np.arange(math.ceil(2.0 * per_unit) + 4)
+    m = np.floor((ks - 1) * per_unit).astype(np.int64)[:, None] - 1 + offsets
+    on_grid = (m >= -(f.N // 2)) & (m < f.N // 2)
+    row = np.broadcast_to(np.arange(ks.size)[:, None], m.shape)[on_grid]
+    col = m[on_grid] % f.N
+    val = _sigma_axis(xi[col], ks[row])
+    nz = val != 0
+    return row[nz], col[nz], val[nz]
+
+
+def _axis_sigma_rows(f: SampledFunction, ks: np.ndarray) -> np.ndarray:
+    """Dense K x N matrix of the axis factors sigma_k(xi_m) on f's frequency axis."""
+    row, col, val = _axis_sigma_band(f, ks)
+    rows = np.zeros((ks.size, f.N))
+    rows[row, col] = val
     return rows
 
 
@@ -385,13 +414,54 @@ def _lattice_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarray,
     return cells[keep], factor * np.abs(coeffs[keep])
 
 
+def _cell_sums(f: SampledFunction, k_max: int, a: np.ndarray, power: int) -> np.ndarray:
+    """sum_m sigma_k(xi_m)^power a[m] for every cell |k|_inf <= k_max, shape (K,) or (K, K).
+
+    sigma_k is a product of axis factors, so this is R a (1-d, summed
+    over the band entries of R) or R a R^T (2-d), with R[k, m] the
+    axis factor to the given power; power 0 counts the support only.
+    """
+    ks = np.arange(-k_max, k_max + 1)
+    row, col, val = _axis_sigma_band(f, ks)
+    if f.n == 1:
+        return np.bincount(row, weights=val**power * a[col], minlength=ks.size)
+    rows = np.zeros((ks.size, f.N))
+    rows[row, col] = val**power
+    return rows @ a @ rows.T
+
+
+def _continuum_cells(f: SampledFunction, k_max: int) -> np.ndarray:
+    """Cells |k|_inf <= k_max whose sigma_k * F is not identically zero, in sorted order.
+
+    An exactly-zero block is dropped, as in lattice mode, so it never
+    meets its (possibly infinite) weight.
+    """
+    hits = _cell_sums(f, k_max, (f.spectrum != 0).astype(float), 0)
+    return np.argwhere(hits > 0) - k_max
+
+
 def _continuum_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarray, np.ndarray]:
-    """Cells |k|_inf <= k_max and the L^p norms of box_k f, batched inverse FFTs."""
+    """Cells |k|_inf <= k_max with a nonzero block, and the L^p norms of box_k f.
+
+    p = 2 by discrete Parseval: ||box_k f||_2^2 = (pi/L)^n sum_m
+    sigma_k(xi_m)^2 |F_m|^2, for every cell at once R^2 |F|^2 (1-d) or
+    R^2 |F|^2 R^2^T (2-d), R the axis rows.  Other p invert sigma_k * F
+    per cell (_ifft_block_norms), the dual route at p = 2.
+    """
+    if p != 2:
+        return _ifft_block_norms(f, k_max, p)
+    cells = _continuum_cells(f, k_max)
+    sq = _cell_sums(f, k_max, np.abs(f.spectrum) ** 2, 2)[tuple((cells + k_max).T)]
+    return cells, np.sqrt((math.pi / f.L) ** f.n * sq)
+
+
+def _ifft_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarray, np.ndarray]:
+    """Cells |k|_inf <= k_max with a nonzero block, and their L^p norms by batched inverse FFTs."""
     F = f.spectrum
     phase, scale = _normalization(f.n, f.L, f.N)
     vol = f.cell_volume
-    cells = _k_cells(f.n, -k_max, k_max)
     rows = _axis_sigma_rows(f, np.arange(-k_max, k_max + 1))
+    cells = _continuum_cells(f, k_max)
 
     out = np.zeros(len(cells))
     chunk = 64 if f.n == 1 else 16
@@ -421,10 +491,12 @@ def mod_norm_record(f: SampledFunction, params: NormParams) -> dict:
     """Decomposition norm with its JSON-ready provenance record.
 
     Aggregates weight(k) * ||box_k f||_p over |k|_inf <= k_max in
-    sorted index order (deterministic reduction); q = inf uses the
-    supremum.  Lattice blocks come from the closed form, continuum
-    blocks from inverting sigma_k * F.  Emits TruncationWarning when
-    the relative spectral mass outside |xi|_inf <= k_max-1 exceeds 1e-9.
+    sorted index order (deterministic reduction), skipping blocks that
+    are exactly zero; q = inf uses the supremum.  Lattice blocks come
+    from the closed form; continuum blocks from discrete Parseval at
+    p = 2 and from inverting sigma_k * F otherwise.  Emits
+    TruncationWarning when the relative spectral mass outside
+    |xi|_inf <= k_max-1 exceeds 1e-9.
     """
     _check_mode(f, params.mode)
     if params.q < 1:
@@ -459,6 +531,8 @@ def stft_norm(f: SampledFunction, p, q, weight: WeightSpec,
     V(x_j, xi_m) is the spectrum of s -> f(s) * conj(window(s - x_j)),
     the shift running over the sample grid (circular).  Inner L^p in
     the shift, outer weighted l^q with cell pi/L per frequency axis.
+    p = 2 uses the correlation identity (_stft_parseval_inner); other p
+    run the shift loop (_stft_shift_inner), the dual route at p = 2.
     Cost guard: N > 4096 (n=1) or N > 128 (n=2) rejected.
     """
     if f.n == 1 and f.N > 4096:
@@ -468,6 +542,55 @@ def stft_norm(f: SampledFunction, p, q, weight: WeightSpec,
     if (window.n, window.L, window.N) != (f.n, f.L, f.N):
         raise ValueError("window grid does not match the function grid")
 
+    inner = _stft_parseval_inner(f, window) if p == 2 else _stft_shift_inner(f, window, p)
+
+    idx = f.index_axis()
+    if f.n == 1:
+        kpts = idx[:, None] * (math.pi / f.L)
+        wts = weight_eval(weight, kpts.reshape(-1, 1)).reshape(f.N)
+    else:
+        gx, gy = np.meshgrid(idx, idx, indexing="ij")
+        pts = np.stack([gx.ravel(), gy.ravel()], axis=-1) * (math.pi / f.L)
+        wts = weight_eval(weight, pts).reshape(f.N, f.N)
+
+    terms = wts * inner
+    if q == math.inf:
+        return float(np.max(terms))
+    qf = float(q)
+    cell = (math.pi / f.L) ** f.n
+    return float((cell * np.sum(terms**qf)) ** (1.0 / qf))
+
+
+def _stft_parseval_inner(f: SampledFunction, window: SampledFunction) -> np.ndarray:
+    """Inner L^2 norms over the shift, per frequency, by the correlation identity.
+
+    (2L/N)^n sum_j |V(x_j, xi_m)|^2 = (pi/L)^n sum_l |F_l|^2 |W_(m-l)|^2,
+    W the normalized spectrum of conj(window), indices mod N.  The
+    nonnegative terms are summed directly (an FFT convolution would
+    leave absolute round-off that the weight then amplifies): by
+    np.convolve in 1-d, and in 2-d by matrix products over circulant
+    rows of W gathered 32 x N^2 at a time.
+    """
+    P = np.abs(f.spectrum) ** 2
+    Q = np.abs(window.copy_with(np.conj(window.values)).spectrum) ** 2
+    if f.n == 1:
+        # np.convolve sums directly; on the doubled P its valid part is circular.
+        S = np.convolve(np.concatenate([P, P])[1:], Q, mode="valid")
+    else:
+        pos = np.arange(f.N)
+        S = np.zeros(P.shape)
+        circ = (pos[:, None] - pos[None, :]) % f.N
+        for start in range(0, f.N, 32):
+            # X[d, m2, l1] = sum_l2 Q[d, m2 - l2] P[l1, l2]; row d of Q
+            # meets row l1 of P at frequency row m1 = l1 + d.
+            X = Q[start : start + 32][:, circ] @ P.T
+            for d in range(start, start + len(X)):
+                S += np.roll(X[d - start].T, d, axis=0)
+    return np.sqrt((math.pi / f.L) ** f.n * S)
+
+
+def _stft_shift_inner(f: SampledFunction, window: SampledFunction, p) -> np.ndarray:
+    """Inner L^p norms over the shift, per frequency, one transform per shift."""
     phase, scale = _normalization(f.n, f.L, f.N)
     vol = f.cell_volume
     wv = np.conj(window.values)
@@ -502,25 +625,8 @@ def stft_norm(f: SampledFunction, p, q, weight: WeightSpec,
                 acc = np.maximum(acc, np.max(A, axis=0))
 
     if pfin:
-        inner = (vol * acc) ** (1.0 / float(p))
-    else:
-        inner = acc
-
-    idx = f.index_axis()
-    if f.n == 1:
-        kpts = idx[:, None] * (math.pi / f.L)
-        wts = weight_eval(weight, kpts.reshape(-1, 1)).reshape(f.N)
-    else:
-        gx, gy = np.meshgrid(idx, idx, indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel()], axis=-1) * (math.pi / f.L)
-        wts = weight_eval(weight, pts).reshape(f.N, f.N)
-
-    terms = wts * inner
-    if q == math.inf:
-        return float(np.max(terms))
-    qf = float(q)
-    cell = (math.pi / f.L) ** f.n
-    return float((cell * np.sum(terms**qf)) ** (1.0 / qf))
+        return (vol * acc) ** (1.0 / float(p))
+    return acc
 
 
 # ---------------------------------------------------------------------

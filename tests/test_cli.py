@@ -115,6 +115,34 @@ def test_norm_zero_function(capsys, tmp_path):
     assert doc["result"]["value"] == 0.0
 
 
+def _strict(text):
+    def reject(token):
+        raise ValueError(f"bare {token} in JSON output")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_norm_non_finite_value_fails(capsys, tmp_path):
+    # e^(10|k|) overflows far below the N = 256 Nyquist index, and the
+    # spectrum recomputed from the file's samples has no exact zeros.
+    run_cli(capsys, "corpus", "generate", "--count", "1", "--out", str(tmp_path))
+    path = str(tmp_path / "fixture_000.csv")
+    for mode in ("lattice", "continuum"):
+        code = main(["norm", path, "--weight", "exponential:lam=10", "--mode", mode])
+        doc = _strict(capsys.readouterr().out)
+        assert code == 1
+        assert doc["passed"] is False
+        assert doc["result"]["value"] == "inf"
+    f = SampledFunction(1, math.pi, 32, np.ones(32, dtype=complex))
+    f.values[3] = math.nan
+    save_function(f, tmp_path / "nan.csv")
+    code = main(["norm", str(tmp_path / "nan.csv")])
+    doc = _strict(capsys.readouterr().out)
+    assert code == 1
+    assert doc["passed"] is False
+    assert doc["result"]["value"] == "nan"
+
+
 def test_norm_usage_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "norm", str(tmp_path / "missing.csv"))
     assert code == 2

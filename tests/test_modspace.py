@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modspaces import modspace
 from modspaces.modspace import (
     NormParams,
     SampledFunction,
@@ -26,6 +27,7 @@ from modspaces.modspace import (
     stft_norm,
     synthesize,
 )
+from modspaces.partition import _sigma_axis
 from modspaces.weights import WeightSpec, weight_eval
 
 import _oracles as orc
@@ -143,6 +145,18 @@ def test_box_sum_reconstructs_continuum():
     for k in range(-12, 13):
         total = total + box_k(f, k, mode="continuum").values
     np.testing.assert_allclose(total, f.values, atol=1e-9)
+
+
+@pytest.mark.parametrize("L", [PI, PI / 2, 2 * PI, 3.5])
+def test_axis_sigma_rows_banded_equal_dense(L):
+    # Only the band |xi_m - k| < 1 of each row is evaluated; the dense
+    # matrix must be bit-identical to evaluating every row on the whole
+    # axis.  L = pi/2 puts grid points exactly on k +- 1.
+    f = synthesize("gaussian", L=L, N=64)
+    k_max = default_k_max(f)
+    ks = np.arange(-k_max, k_max + 1)
+    dense = np.stack([_sigma_axis(f.xi_axis(), int(k)) for k in ks])
+    assert np.array_equal(modspace._axis_sigma_rows(f, ks), dense)
 
 
 def test_box_mode_validation():
@@ -272,6 +286,53 @@ def test_mod_norm_continuum_refinement_stable():
     assert a == pytest.approx(b, rel=1e-9)
 
 
+def _continuum_cases():
+    """1-d and 2-d functions at L = pi and off the integer lattice, plus one
+    spectrum recomputed from samples, where every coefficient is nonzero."""
+    cases = []
+    for n, N, B in ((1, 256, 10.0), (2, 32, 7.0)):
+        for L in (PI, 3.5, 2.8):
+            cases.append(synthesize("random_bandlimited", n=n, L=L, N=N, seed=11, B=B))
+    rng = np.random.default_rng(12)
+    samples = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    cases.append(SampledFunction(2, 2.8, 32, samples))
+    return cases
+
+
+@pytest.mark.filterwarnings("ignore::modspaces.modspace.TruncationWarning")
+@pytest.mark.parametrize("f", _continuum_cases(), ids=lambda f: f"n{f.n}-N{f.N}-L{f.L:.3g}")
+def test_mod_norm_continuum_p2_matches_ifft_route(f, monkeypatch):
+    # p = 2 is the discrete Parseval closed form; the batched inverse
+    # FFTs of sigma_k * F are the dual route, forced here at p = 2.
+    k_max = default_k_max(f)
+    if f._spectrum is None:
+        assert np.all(f.spectrum != 0)
+    cells, blocks = modspace._continuum_block_norms(f, k_max, 2.0)
+    cells_fft, blocks_fft = modspace._ifft_block_norms(f, k_max, 2.0)
+    assert np.array_equal(cells, cells_fft)
+    np.testing.assert_allclose(blocks, blocks_fft, rtol=1e-12)
+    spec = WeightSpec.gevrey(2.0)
+    got = [mod_norm(f, NormParams(2.0, q, spec, mode="continuum")) for q in (1.0, 2.0, math.inf)]
+    monkeypatch.setattr(modspace, "_continuum_block_norms", modspace._ifft_block_norms)
+    expect = [mod_norm(f, NormParams(2.0, q, spec, mode="continuum")) for q in (1.0, 2.0, math.inf)]
+    assert got == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_mod_norm_continuum_zero_block_at_infinite_weight(p):
+    # The row k = N/2 lies beyond the grid's last frequency, so its block
+    # is exactly zero while e^(10|k|) overflows; continuum mode must drop
+    # that cell as lattice mode does, not return 0 * inf = NaN.
+    f = synthesize("random_bandlimited", N=256, seed=3, B=5.0)
+    spec = WeightSpec.exponential(10.0)
+    for q in (1.0, 2.0, math.inf):
+        lattice = mod_norm(f, NormParams(p, q, spec, mode="lattice"))
+        continuum = mod_norm(f, NormParams(p, q, spec, mode="continuum"))
+        assert math.isfinite(lattice)
+        assert continuum == pytest.approx(lattice, rel=1e-12)
+
+
 def test_mod_norm_zero_function():
     f = SampledFunction(1, PI, 32, np.zeros(32, dtype=complex))
     rec = mod_norm_record(f, NormParams(2.0, 1.0, WeightSpec.polynomial(0.0)))
@@ -378,6 +439,52 @@ def test_stft_and_decomposition_comparable():
     s = stft_norm(f, 2.0, 2.0, spec, window)
     m = mod_norm(f, NormParams(2.0, 2.0, spec))
     assert 0.05 < s / m < 20.0
+
+
+def _modulated_pair(n, N, L):
+    """Complex f and the window gaussian * e^{i(3 x_1 - 2 x_2)} (1-d: e^{3 i x})."""
+    f = synthesize("random_bandlimited", n=n, L=L, N=N, seed=31, B=6.0, real=False)
+    window = synthesize("gaussian", n=n, L=L, N=N, a=2.0)
+    x = window.grid_axis()
+    phase = 3 * x if n == 1 else 3 * x[:, None] - 2 * x[None, :]
+    return f, window.copy_with(window.values * np.exp(1j * phase))
+
+
+def _stft_both_routes(f, window, spec, monkeypatch, qs=(1.0, 2.0, math.inf)):
+    """stft_norm at p = 2 for each q, by the correlation identity and by the shift loop."""
+    got = [stft_norm(f, 2.0, q, spec, window) for q in qs]
+    with monkeypatch.context() as m:
+        m.setattr(modspace, "_stft_parseval_inner",
+                  lambda f, window: modspace._stft_shift_inner(f, window, 2.0))
+        expect = [stft_norm(f, 2.0, q, spec, window) for q in qs]
+    return got, expect
+
+
+@pytest.mark.parametrize("n,N,L", [(1, 128, PI), (1, 256, 3.5), (2, 16, PI), (2, 32, 2.8)])
+def test_stft_norm_p2_matches_shift_loop(n, N, L, monkeypatch):
+    # Complex f and a modulated window: the correlation runs over m - l,
+    # and the reversed order l - m differs once |W| is not even.
+    f, window = _modulated_pair(n, N, L)
+    assert np.any(f.values.imag != 0)
+    inner = modspace._stft_parseval_inner(f, window)
+    np.testing.assert_allclose(inner, modspace._stft_shift_inner(f, window, 2.0),
+                               rtol=1e-12, atol=1e-12 * float(np.max(inner)))
+    got, expect = _stft_both_routes(f, window, WeightSpec.gevrey(2.0), monkeypatch)
+    assert got == pytest.approx(expect, rel=1e-12)
+
+
+def test_stft_norm_p2_matches_shift_loop_under_steep_weight(monkeypatch):
+    # At N = 1024 the gevrey weight reaches e^22.6.  An FFT convolution
+    # is off by a factor 2.7 here, because its absolute round-off is
+    # amplified by the weight; the direct sum is not.  The two routes
+    # differ by 4.3e-12 at q = 2: the shift loop's transforms and the
+    # spectrum of the samples carry different round-off, and the weight
+    # amplifies both, so the bound is 1e-11.  (At q = 1 the amplified
+    # round-off of the far frequencies weighs more: 4.6e-9.)
+    f = synthesize("random_bandlimited", N=1024, seed=7, B=10.0)
+    window = synthesize("gaussian", N=1024, a=2.0)
+    got, expect = _stft_both_routes(f, window, WeightSpec.gevrey(2.0), monkeypatch, qs=(2.0,))
+    assert got == pytest.approx(expect, rel=1e-11)
 
 
 # ----------------------------------------------------------------------
