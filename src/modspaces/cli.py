@@ -108,8 +108,6 @@ def _json_default(v):
         return v.tolist()
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
-    if v == math.inf:
-        return "inf"
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 

@@ -102,6 +102,8 @@ class SampledFunction:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
+        if not (0.0 < self.L < math.inf):
+            raise ValueError("half-period L must be positive and finite")
         if not _is_pow2(self.N):
             raise ValueError("N must be a power of two >= 2")
         vals = np.asarray(self.values, dtype=np.complex128)
@@ -295,6 +297,18 @@ def _axis_sigma_rows(f: SampledFunction, ks: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _band_rows(band: tuple[np.ndarray, np.ndarray, np.ndarray], idx: np.ndarray,
+               N: int) -> np.ndarray:
+    """Dense rows idx (sorted, distinct) of the N-column matrix given by its band triples."""
+    row, col, val = band
+    lo, hi = np.searchsorted(row, [idx[0], idx[-1] + 1])
+    at = np.searchsorted(idx, row[lo:hi])
+    keep = idx[at] == row[lo:hi]
+    out = np.zeros((idx.size, N))
+    out[at[keep], col[lo:hi][keep]] = val[lo:hi][keep]
+    return out
+
+
 def _check_mode(f: SampledFunction, mode: str):
     if mode not in ("lattice", "continuum"):
         raise ValueError(f"mode must be lattice or continuum, got {mode!r}")
@@ -456,11 +470,20 @@ def _continuum_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarra
 
 
 def _ifft_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarray, np.ndarray]:
-    """Cells |k|_inf <= k_max with a nonzero block, and their L^p norms by batched inverse FFTs."""
+    """Cells |k|_inf <= k_max with a nonzero block, and their L^p norms by batched inverse FFTs.
+
+    In 1-d each batch scatters only its own axis rows from the band
+    triples: the dense K x N matrix would dwarf the N-point spectrum.
+    In 2-d it is no larger than the N x N spectrum and is built once.
+    """
     F = f.spectrum
     phase, scale = _normalization(f.n, f.L, f.N)
     vol = f.cell_volume
-    rows = _axis_sigma_rows(f, np.arange(-k_max, k_max + 1))
+    ks = np.arange(-k_max, k_max + 1)
+    if f.n == 1:
+        band = _axis_sigma_band(f, ks)
+    else:
+        rows = _axis_sigma_rows(f, ks)
     cells = _continuum_cells(f, k_max)
 
     out = np.zeros(len(cells))
@@ -468,7 +491,7 @@ def _ifft_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarray, np
     for start in range(0, len(cells), chunk):
         block = cells[start : start + chunk] + k_max
         if f.n == 1:
-            G = F[None, :] * rows[block[:, 0]]
+            G = F[None, :] * _band_rows(band, block[:, 0], f.N)
             vals = np.fft.ifft(G * phase[None, :] / scale, axis=1)
         else:
             fac = rows[block[:, 0]][:, :, None] * rows[block[:, 1]][:, None, :]
@@ -783,20 +806,39 @@ def save_function(f: SampledFunction, path, kind: str | None = None,
 
 
 def load_function(path) -> tuple[SampledFunction, dict]:
-    """Read the function file; returns (function, header)."""
+    """Read the function file; returns (function, header).
+
+    Raises ValueError for a header without integer n, N and a numeric
+    L, and for a sample index that is out of range or repeated.
+    """
     with open(path, "r", newline="") as fh:
         header = json.loads(fh.readline())
-        n, L, N = int(header["n"]), float(header["L"]), int(header["N"])
-        size = N if n == 1 else N * N
-        flat = np.zeros(size, dtype=np.complex128)
-        seen = 0
+        try:
+            n, L, N = int(header["n"]), float(header["L"]), int(header["N"])
+            typed = (n, N) == (header["n"], header["N"])
+        except (KeyError, TypeError, ValueError):
+            typed = False
+        if not typed:
+            raise ValueError("function header needs integer n and N and a number L")
+        index, values = [], []
         for row in csv.reader(fh):
             if not row:
                 continue
-            i = int(row[0])
-            flat[i] = complex(float(row[1]), float(row[2]))
-            seen += 1
-        if seen != size:
-            raise ValueError(f"expected {size} samples, file has {seen}")
+            i, real, imag = row
+            index.append(int(i))
+            values.append(complex(float(real), float(imag)))
+    size = N if n == 1 else N * N
+    idx = np.array(index, dtype=np.int64)
+    outside = (idx < 0) | (idx >= size)
+    if outside.any():
+        raise ValueError(f"sample index {idx[outside][0]} outside [0, {size})")
+    if idx.size != size:
+        raise ValueError(f"expected {size} samples, file has {idx.size}")
+    present = np.zeros(size, dtype=bool)
+    present[idx] = True
+    if not present.all():
+        raise ValueError("a sample index appears twice")
+    flat = np.empty(size, dtype=np.complex128)
+    flat[idx] = values
     shape = (N,) if n == 1 else (N, N)
     return SampledFunction(n, L, N, flat.reshape(shape)), header

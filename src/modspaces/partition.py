@@ -139,18 +139,6 @@ class WindowFunction:
         if self.n not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
 
-    def profile(self, xi, order: int = 0):
-        """The underlying 1D profile rho1 (order 0, 1 or 2)."""
-        return rho1(xi, order)
-
-    def rho(self, xi):
-        """rho(xi) = prod_i rho1(xi_i); xi shape (..., n) (or scalar if n=1)."""
-        xi = _as_points(xi, self.n)
-        out = np.ones(xi.shape[:-1], dtype=float)
-        for i in range(self.n):
-            out = out * rho1(xi[..., i])
-        return float(out) if out.ndim == 0 else out
-
 
 def build_window(n: int) -> WindowFunction:
     """Construct the smooth tensor window for dimension n in {1, 2}."""
@@ -199,12 +187,7 @@ def sigma_eval(w: WindowFunction, k, xi):
     n == 1).  k: integer lattice point.  Values lie in [0, 1], vanish
     outside the open cube |xi_i - k_i| < 1, and sum to one over k.
     """
-    k = _as_index(k, w.n)
-    xi = _as_points(xi, w.n)
-    out = np.ones(xi.shape[:-1], dtype=float)
-    for i in range(w.n):
-        out = out * _sigma_axis(xi[..., i], k[i])
-    return float(out) if out.ndim == 0 else out
+    return sigma_partial(w, k, xi, (0,) * w.n)
 
 
 def sigma_partial(w: WindowFunction, k, xi, alpha):

@@ -154,6 +154,40 @@ def test_norm_usage_errors(capsys, tmp_path):
     assert "error" in err
 
 
+_GOOD_HEADER = {"n": 1, "L": math.pi, "N": 4}
+
+
+@pytest.mark.parametrize("header, indices", [
+    (_GOOD_HEADER, [0, 1, 1, 3]),                         # duplicate index
+    (_GOOD_HEADER, [0, 1, 2, -1]),                        # negative index
+    (_GOOD_HEADER, [0, 1, 2, 4]),                         # index >= size
+    ({"n": 1, "L": math.pi}, [0, 1, 2, 3]),               # missing N
+    ({"n": 1, "L": math.pi, "N": None}, [0, 1, 2, 3]),    # mistyped N
+    ({"n": 1, "L": math.pi, "N": 4.5}, [0, 1, 2, 3]),     # non-integer N
+], ids=["duplicate", "negative", "beyond-size", "missing-N", "null-N", "fractional-N"])
+def test_norm_rejects_malformed_function_file(capsys, tmp_path, header, indices):
+    path = tmp_path / "bad.csv"
+    rows = "".join(f"{i},1.0,0.0\n" for i in indices)
+    path.write_text(json.dumps(header) + "\n" + rows)
+    code, doc, err = run_cli(capsys, "norm", str(path))
+    assert code == 2
+    assert doc is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("L", [0.0, -math.pi, math.inf, math.nan])
+def test_norm_rejects_bad_half_period(capsys, tmp_path, L):
+    # Lattice mode rejects every L != pi; in continuum mode L = 0 divided
+    # by zero and L = -pi gave 0.0 for a nonzero function.
+    path = tmp_path / "bad.csv"
+    rows = "".join(f"{i},1.0,0.0\n" for i in range(4))
+    path.write_text(json.dumps({"n": 1, "L": L, "N": 4}) + "\n" + rows)
+    code, doc, err = run_cli(capsys, "norm", str(path), "--mode", "continuum")
+    assert code == 2
+    assert doc is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ----------------------------------------------------------------------
 # constants / special
 # ----------------------------------------------------------------------

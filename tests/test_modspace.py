@@ -1,6 +1,7 @@
 """Sampled functions, spectra, decomposition and short-time norms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +317,49 @@ def test_mod_norm_continuum_p2_matches_ifft_route(f, monkeypatch):
     monkeypatch.setattr(modspace, "_continuum_block_norms", modspace._ifft_block_norms)
     expect = [mod_norm(f, NormParams(2.0, q, spec, mode="continuum")) for q in (1.0, 2.0, math.inf)]
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+def test_band_rows_equal_dense_rows():
+    # Each 1-d batch of the inverse-FFT route scatters its own rows (a
+    # sorted subset, with gaps where zero blocks were dropped) from the
+    # band triples; they must be the rows of the dense matrix bit for bit.
+    f = synthesize("gaussian", L=3.5, N=64)
+    k_max = default_k_max(f)
+    ks = np.arange(-k_max, k_max + 1)
+    band = modspace._axis_sigma_band(f, ks)
+    dense = np.stack([_sigma_axis(f.xi_axis(), int(k)) for k in ks])
+    gaps = np.unique(np.random.default_rng(4).integers(0, ks.size, 20))
+    for sel in (gaps, np.arange(ks.size), np.array([0]), np.array([ks.size - 1])):
+        assert np.array_equal(modspace._band_rows(band, sel, f.N), dense[sel])
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+def test_continuum_ifft_blocks_match_box_route(p):
+    # Samples with no zero spectral entry keep every cell, so 1-d N = 256
+    # spans four batches and 2-d N = 16 batches mix rows of several k.
+    rng = np.random.default_rng(21)
+    for n, N in ((1, 256), (2, 16)):
+        shape = (N,) * n
+        f = SampledFunction(n, 2.8, N, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        k_max = default_k_max(f)
+        cells, blocks = modspace._ifft_block_norms(f, k_max, p)
+        assert len(cells) == (2 * k_max + 1) ** n
+        expect = [lp_norm(box_k(f, tuple(k), mode="continuum"), p) for k in cells]
+        np.testing.assert_allclose(blocks, expect, rtol=1e-12)
+
+
+def test_continuum_ifft_route_memory():
+    # The p != 2 route must not hold the K x N axis-row matrix (128 MiB
+    # at N = 4096); one batch of 64 rows takes a few MiB.
+    f = synthesize("random_bandlimited", N=4096, seed=7, B=10)
+    f.spectrum  # cached before tracing starts
+    tracemalloc.start()
+    try:
+        mod_norm(f, NormParams(1.0, 2.0, WeightSpec.gevrey(2.0), mode="continuum"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
