@@ -94,21 +94,28 @@ def _emit(command: str, passed: bool, result: dict, started: float) -> int:
             "runtime_seconds": round(time.time() - started, 3),
         },
     }
-    print(json.dumps(doc, sort_keys=True, indent=2, default=_json_default))
+    print(json.dumps(_strict_json(doc), sort_keys=True, indent=2, allow_nan=False))
     status = "ok" if passed else "FAIL"
     print(f"{status}: {command} ({doc['meta']['runtime_seconds']:.1f}s)",
           file=sys.stderr)
     return 0 if passed else 1
 
 
-def _json_default(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
+def _strict_json(v):
+    """v as plain JSON values, every non-finite float as its _float_token string."""
+    if isinstance(v, dict):
+        return {k: _strict_json(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_strict_json(x) for x in v]
     if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
-    raise TypeError(f"not JSON serializable: {type(v)}")
+        return _strict_json(v.tolist())
+    if isinstance(v, (complex, np.complexfloating)):
+        return {"re": _float_token(v.real), "im": _float_token(v.imag)}
+    if isinstance(v, (float, np.floating)):
+        return _float_token(float(v))
+    if isinstance(v, (np.integer, np.bool_)):
+        return v.item()
+    return v
 
 
 def _say(msg: str) -> None:
@@ -161,8 +168,17 @@ def _check(kind: str, passed: bool, margin: float, detail: dict) -> dict:
 
 def _family_settings(profile: str, quick: dict, full: dict,
                      config: dict, family: str) -> dict:
+    """The profile's defaults for one family, overridden by its config keys.
+
+    Both profiles define the same keys; any other key is an input error.
+    """
     settings = dict(quick if profile == "quick" else full)
-    settings.update(config.get(family, {}))
+    overrides = config.get(family, {})
+    unknown = sorted(set(overrides) - set(settings))
+    if unknown:
+        raise ValueError(f"config: unknown key {unknown[0]!r} in family "
+                         f"{family!r}; known keys: {', '.join(sorted(settings))}")
+    settings.update(overrides)
     return settings
 
 
@@ -284,7 +300,8 @@ def verify_subalgebra(profile: str, config: dict) -> tuple[bool, dict]:
     st = _family_settings(
         profile,
         quick={"gevrey_R": [4, 8, 16, 32], "gevrey_s": 1.5, "gevrey_N": 256,
-               "gevrey_decay": 10.0, "loglog_R": None},
+               "gevrey_decay": 10.0, "loglog_R": None, "loglog_N": 4096,
+               "loglog_stepwise_from": 16.0},
         full={"gevrey_R": [4, 8, 16, 32], "gevrey_s": 1.5, "gevrey_N": 256,
               "gevrey_decay": 10.0,
               "loglog_R": [4, 16, 64, 256, 512], "loglog_N": 4096,
@@ -498,6 +515,10 @@ _FAMILIES = {
     "constants": verify_constants,
 }
 
+# families whose settings a --config file may override
+_CONFIG_FAMILIES = ("algebra", "corpus", "partition", "subalgebra",
+                    "superposition", "weights")
+
 
 def cmd_verify(args, config: dict) -> int:
     started = time.time()
@@ -533,8 +554,8 @@ def cmd_norm(args, config: dict) -> int:
     result = {
         "file": os.path.basename(args.file),
         "header": header,
-        "value": _float_token(rec["value"]),
-        "truncation_tail": _float_token(rec["truncation_tail"]),
+        "value": rec["value"],
+        "truncation_tail": rec["truncation_tail"],
         "params": rec["params"],
         "warnings": rec["warnings"],
     }
@@ -638,9 +659,9 @@ def cmd_special(args, config: dict) -> int:
 
 def cmd_corpus_generate(args, config: dict) -> int:
     started = time.time()
-    st = dict({"N": 256, "L": math.pi, "n": 1,
-               "bands": [10.0, 25.0, 40.0, 55.0]})
-    st.update(config.get("corpus", {}))
+    defaults = {"N": 256, "L": math.pi, "n": 1,
+                "bands": [10.0, 25.0, 40.0, 55.0]}
+    st = _family_settings("full", defaults, defaults, config, "corpus")
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     entries = []
@@ -801,6 +822,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_problem(config) -> str | None:
+    """What is wrong with a parsed config's layout, or None when nothing is."""
+    if not isinstance(config, dict):
+        return "must be a JSON object keyed by family name"
+    for family, overrides in sorted(config.items()):
+        if family not in _CONFIG_FAMILIES:
+            return (f"unknown family {family!r}; known families: "
+                    f"{', '.join(_CONFIG_FAMILIES)}")
+        if not isinstance(overrides, dict):
+            return f"family {family!r} must map to a JSON object"
+    return None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -811,6 +845,10 @@ def main(argv=None) -> int:
                 config = json.load(fh)
         except (OSError, ValueError) as exc:
             _say(f"error: cannot read config {args.config}: {exc}")
+            return 2
+        problem = _config_problem(config)
+        if problem:
+            _say(f"error: config {args.config}: {problem}")
             return 2
     try:
         return args.func(args, config)

@@ -89,17 +89,23 @@ def gevrey_bump_ft(mu: float, xi) -> complex | np.ndarray:
 
     Double-exponential quadrature; absolute accuracy ~1e-13, so values
     are reliable for |result| down to about 1e-13 (|xi| <~ 300 for
-    mu = -1).  Conjugate symmetry in xi holds since phi_mu is real.
+    mu = -1).  phi_mu is real, so F(-xi) = conj F(xi): each distinct
+    |xi| is summed once and negative xi take the conjugate, which is
+    bit-identical to summing at -xi.
     """
     ts, wts = _de_nodes()
     fv = gevrey_bump(mu, ts) * wts
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    out = np.empty(xi_arr.shape, dtype=complex)
+    mags, where = np.unique(np.abs(xi_arr), return_inverse=True)
+    vals = np.empty(mags.shape, dtype=complex)
     chunk = 256
-    for i in range(0, xi_arr.size, chunk):
-        x = xi_arr[i : i + chunk]
-        out[i : i + chunk] = np.sum(fv[None, :] * np.exp(-1j * np.outer(x, ts)), axis=1)
-    out /= SQRT_2PI
+    for i in range(0, mags.size, chunk):
+        x = mags[i : i + chunk]
+        vals[i : i + chunk] = np.sum(fv[None, :] * np.exp(-1j * np.outer(x, ts)), axis=1)
+    vals /= SQRT_2PI
+    out = vals[where.reshape(xi_arr.shape)]
+    neg = xi_arr < 0.0
+    out[neg] = np.conj(out[neg])
     return complex(out[0]) if np.ndim(xi) == 0 else out
 
 
@@ -342,6 +348,21 @@ class Density:
         fn = self.log_abs_envelope or self.log_abs
         return fn(xi)
 
+    @functools.cached_property
+    def moment(self) -> complex:
+        """int g dxi over [-256, 256]: 32-point Gauss-Legendre on panels of width 4.
+
+        One value call covers all 128 panels, whose sums are then added
+        in order.  It does not depend on any weight, so it is computed
+        once per density and kept on the instance.
+        """
+        halves, x = _gauss_panels(np.arange(-256.0, 256.0 + 2.0, 4.0))
+        vals = self.value(x.ravel()).reshape(x.shape)
+        moment = 0.0 + 0j
+        for half, v in zip(halves, vals):
+            moment += half * np.sum(_ML1_WEIGHTS * v)
+        return complex(moment)
+
 
 def density_by_name(name: str, **params) -> Density:
     """Registered densities: gevrey_bump(mu), up, rational_decay(k), gaussian(a).
@@ -436,6 +457,19 @@ def _log_weight(regime: str, lam: float, params: dict, xi: np.ndarray) -> np.nda
 _ML1_NODES, _ML1_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
+def _gauss_panels(edges: np.ndarray):
+    """Half-widths of the panels between consecutive edges, and their nodes (one row each)."""
+    halves = 0.5 * (edges[1:] - edges[:-1])
+    return halves, (0.5 * (edges[:-1] + edges[1:]))[:, None] + halves[:, None] * _ML1_NODES
+
+# Panel edges of the octave ladder on one half-line: [0, 2^-24], the 24
+# dyadic panels of [0, 1] (weights like exp(lam*sqrt(xi)*log xi) have a
+# root-type kink at 0 that one panel resolves poorly), then the octaves
+# [2^i, 2^(i+1)] out to 2^63.  Octave 0 is the first 25 panels.
+_ML1_EDGES = np.array([0.0] + [2.0**e for e in range(-24, 64)])
+_ML1_DYADIC = 25
+
+
 def measure_L1(regime: str, density: Density, lam: float,
                params: dict | None = None) -> dict:
     """Weighted density integral int w(xi) |g(xi)| dxi over the line.
@@ -450,51 +484,48 @@ def measure_L1(regime: str, density: Density, lam: float,
     (the integrand still rising, or falling too slowly, at 2^63) is
     flagged diverged.  An integrand may rise over dozens of octaves
     before its decay takes over; only the endpoint behavior decides.
+    The density and the weight are each evaluated once, on the nodes
+    of the whole ladder; the octaves are then summed in order.
 
     Returns {value, log_value, converged, diverged, moment, octaves}.
-    value may overflow to inf while log_value stays finite; finiteness
-    claims should test the flags, not the float.
+    moment is int g dxi over [-256, 256] (the zero-mean check), computed
+    once per density and shared by every call on it.  value may overflow
+    to inf while log_value stays finite; finiteness claims should test
+    the flags, not the float.
     """
     params = dict(params or {})
     if lam <= 0:
         raise ValueError("lam must be positive")
 
-    def octave_log_integral(a: float, b: float) -> float:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        x = mid + half * _ML1_NODES
-        # both half-lines: |g(x)| + |g(-x)| share the weight (radial)
-        lw = _log_weight(regime, lam, params, x)
-        la = density.log_abs(x)
-        lb = density.log_abs(-x)
-        l1 = lw + la
-        l2 = lw + lb
-        m = max(float(np.max(l1)), float(np.max(l2)))
+    halves, x = _gauss_panels(_ML1_EDGES)
+    x = x.ravel()
+    # both half-lines: |g(x)| + |g(-x)| share the weight (radial)
+    lw = _log_weight(regime, lam, params, x)
+    la, lb = density.log_abs(np.concatenate([x, -x])).reshape(2, -1)
+    l1 = (lw + la).reshape(halves.size, -1)
+    l2 = (lw + lb).reshape(halves.size, -1)
+
+    def panel_log_integral(i: int) -> float:
+        m = max(float(np.max(l1[i])), float(np.max(l2[i])))
         if m == -math.inf:
             return -math.inf
-        ssum = float(np.sum(_ML1_WEIGHTS * (np.exp(l1 - m) + np.exp(l2 - m))))
+        ssum = float(np.sum(_ML1_WEIGHTS * (np.exp(l1[i] - m) + np.exp(l2[i] - m))))
         if ssum <= 0.0:
             return -math.inf
-        return m + math.log(half * ssum)
+        return m + math.log(halves[i] * ssum)
 
     log_total = -math.inf
     octs: list[float] = []
     small = 0
     converged = False
-    a, b = 0.0, 1.0
     for i in range(64):
         if i == 0:
-            # dyadic descent on [0, 1]: weights like exp(lam*sqrt(xi)*log xi)
-            # have a root-type kink at 0 that one panel resolves poorly
             lo = -math.inf
-            lo_edge = 2.0 ** -24
-            lo = np.logaddexp(lo, octave_log_integral(0.0, lo_edge))
-            while lo_edge < 1.0:
-                hi_edge = 2.0 * lo_edge
-                lo = np.logaddexp(lo, octave_log_integral(lo_edge, hi_edge))
-                lo_edge = hi_edge
+            for j in range(_ML1_DYADIC):
+                lo = np.logaddexp(lo, panel_log_integral(j))
             lo = float(lo)
         else:
-            lo = octave_log_integral(a, b)
+            lo = panel_log_integral(_ML1_DYADIC - 1 + i)
         octs.append(lo)
         log_total = np.logaddexp(log_total, lo)
         if lo < log_total - 41.5:  # e^-41.5 ~ 1e-18 relative
@@ -504,26 +535,14 @@ def measure_L1(regime: str, density: Density, lam: float,
                 break
         else:
             small = 0
-        a, b = b, 2.0 * b
     diverged = not converged  # Cauchy criterion unmet within the full ladder
-
-    # zero-mean check: moment int g dxi on a symmetric range
-    mids, halves = [], []
-    a, b = -256.0, 256.0
-    step = 4.0
-    edges = np.arange(a, b + step / 2, step)
-    moment = 0.0 + 0j
-    for lo_e, hi_e in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo_e + hi_e), 0.5 * (hi_e - lo_e)
-        x = mid + half * _ML1_NODES
-        moment += half * np.sum(_ML1_WEIGHTS * density.value(x))
 
     return {
         "value": float(math.exp(log_total)) if log_total < 700 else math.inf,
         "log_value": float(log_total),
         "converged": converged,
         "diverged": diverged,
-        "moment": complex(moment),
+        "moment": density.moment,
         "octaves": octs,
     }
 

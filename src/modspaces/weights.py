@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 __all__ = [
     "SHIFT",
@@ -131,6 +130,9 @@ def analyze_weight() -> WeightAnalysis:
     a log-spaced grid on (0, 1e6] and polishing the best bracket with
     bounded scalar minimization.
     """
+    # imported here: scipy.optimize is slow to import and nothing else uses it
+    from scipy.optimize import brentq, minimize_scalar
+
     lo, hi = 1.0, 100.0
     if w_star(lo, 2) <= 0 or w_star(hi, 2) >= 0:
         raise RuntimeError("second derivative does not change sign on [1, 100]")
@@ -308,31 +310,54 @@ def _sweep_gevrey(s: float, radius: int, n: int):
         worst = (int(k[idx[0]]), int(l[idx[1]]))
         return float(margin[idx]), worst, margin.size
 
-    # n == 2: iterate over k cells in chunks, vectorize over all l.
+    # n == 2: the margin depends on |k|^2, |l|^2 and |k-l|^2 only, and
+    # the box is invariant under the 8 symmetries of the square applied
+    # to k and l together.  So k runs over the fundamental domain
+    # 0 <= ky <= kx <= radius and l over the whole box; chunks of k
+    # cells are vectorized over all l.
     side = np.arange(-radius, radius + 1)
     lx, ly = np.meshgrid(side, side, indexing="ij")
     lx = lx.ravel()
     ly = ly.ravel()
     L2 = lx * lx + ly * ly
     tL = table[L2]
-    n_l = lx.size
-    best = (math.inf, (0, 0, 0, 0))
-    count = 0
+    kx_all, ky_all = np.tril_indices(radius + 1)
+    best = math.inf
+    ties = []  # (kx, ky, lx, ly) arrays of the cells at the running minimum
     chunk = 128
-    cells = [(int(a), int(b)) for a in side for b in side]
-    for start in range(0, len(cells), chunk):
-        block = cells[start : start + chunk]
-        kx = np.array([c[0] for c in block])[:, None]
-        ky = np.array([c[1] for c in block])[:, None]
+    for start in range(0, kx_all.size, chunk):
+        kx = kx_all[start : start + chunk, None]
+        ky = ky_all[start : start + chunk, None]
         K2 = kx * kx + ky * ky
         D2 = (kx - lx[None, :]) ** 2 + (ky - ly[None, :]) ** 2
         margin = tL[None, :] + table[D2] - delta * table[np.minimum(D2, L2[None, :])] - table[K2]
-        count += margin.size
-        i, j = np.unravel_index(np.argmin(margin), margin.shape)
-        m = float(margin[i, j])
-        if m < best[0]:
-            best = (m, (int(kx[i, 0]), int(ky[i, 0]), int(lx[j]), int(ly[j])))
-    return best[0], best[1], count
+        m = float(np.min(margin))
+        if m > best:
+            continue
+        if m < best:
+            best, ties = m, []
+        i, j = np.nonzero(margin == m)
+        ties.append((kx[i, 0], ky[i, 0], lx[j], ly[j]))
+    return best, _first_image(ties), (2 * radius + 1) ** 4
+
+
+def _first_image(ties) -> tuple:
+    """Lexicographically smallest image of the tied cells under the square's symmetries.
+
+    Every full-box minimizer is the image of a fundamental-domain
+    minimizer under one of the 8 maps (x, y) -> (+-x, +-y) or (+-y, +-x)
+    applied to k and l together, and C order over the box is
+    lexicographic order on (kx, ky, lx, ly).  So this is the first
+    minimizer the full sweep would meet.
+    """
+    kx, ky, lx, ly = (np.concatenate(a) for a in zip(*ties))
+    images = []
+    for swap in (False, True):
+        ax, ay, bx, by = (ky, kx, ly, lx) if swap else (kx, ky, lx, ly)
+        for sx in (1, -1):
+            for sy in (1, -1):
+                images.append(np.stack([sx * ax, sy * ay, sx * bx, sy * by], axis=1))
+    return min(map(tuple, np.concatenate(images).tolist()))
 
 
 def _sweep_loglog(s: float, grid_max: float, step: float, n_random: int, seed: int,

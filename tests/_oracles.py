@@ -3,13 +3,26 @@
 Everything here recomputes package quantities through a route the
 package itself does not use: mpmath arbitrary-precision arithmetic
 with numerical differentiation and root polishing, scipy special
-functions, or closed forms.  Tests compare package output against
-these values rather than against other package output.
+functions, closed forms, or the loops the package ran before it took
+a shortcut with the same arithmetic.  Tests compare package output
+against these values rather than against other package output.
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
+import numpy as np
+
+from modspaces.specialfn import (
+    SQRT_2PI,
+    _ML1_NODES,
+    _ML1_WEIGHTS,
+    _de_nodes,
+    _log_weight,
+    gevrey_bump,
+)
 
 mp.mp.dps = 30
 
@@ -77,3 +90,114 @@ def bump_transform(mu, xi, dps: int = 30) -> mp.mpc:
     with mp.workdps(dps):
         val = mp.quad(f, [0, mp.mpf("0.5"), 1])
     return val / mp.sqrt(2 * mp.pi)
+
+
+# ----------------------------------------------------------------------
+# former production routes, kept as dual routes
+# ----------------------------------------------------------------------
+
+def sweep_gevrey_2d_full_box(s: float, radius: int):
+    """(min_margin, worst_point, points_checked) over the full 2-d box.
+
+    Every k cell of |k|_inf <= radius in C order, in chunks of 128,
+    each vectorized over all l; the first C-order minimizer wins.
+    """
+    delta = 2.0 - 2.0 ** (1.0 / s)
+    table = np.arange(8 * radius * radius + 1, dtype=float) ** (0.5 * (1.0 / s))
+    side = np.arange(-radius, radius + 1)
+    lx, ly = np.meshgrid(side, side, indexing="ij")
+    lx = lx.ravel()
+    ly = ly.ravel()
+    L2 = lx * lx + ly * ly
+    tL = table[L2]
+    best = (math.inf, (0, 0, 0, 0))
+    count = 0
+    chunk = 128
+    cells = [(int(a), int(b)) for a in side for b in side]
+    for start in range(0, len(cells), chunk):
+        block = cells[start : start + chunk]
+        kx = np.array([c[0] for c in block])[:, None]
+        ky = np.array([c[1] for c in block])[:, None]
+        K2 = kx * kx + ky * ky
+        D2 = (kx - lx[None, :]) ** 2 + (ky - ly[None, :]) ** 2
+        margin = tL[None, :] + table[D2] - delta * table[np.minimum(D2, L2[None, :])] - table[K2]
+        count += margin.size
+        i, j = np.unravel_index(np.argmin(margin), margin.shape)
+        m = float(margin[i, j])
+        if m < best[0]:
+            best = (m, (int(kx[i, 0]), int(ky[i, 0]), int(lx[j]), int(ly[j])))
+    return best[0], best[1], count
+
+
+def measure_L1_per_octave(regime: str, density, lam: float, params: dict | None = None) -> dict:
+    """measure_L1 with two density and one weight evaluation per panel.
+
+    The octave ladder is walked panel by panel, as the package did
+    before it evaluated the whole ladder in one pass, and the zero-mean
+    moment is recomputed from 128 separate value calls.
+    """
+    params = dict(params or {})
+
+    def octave_log_integral(a: float, b: float) -> float:
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        x = mid + half * _ML1_NODES
+        lw = _log_weight(regime, lam, params, x)
+        l1 = lw + density.log_abs(x)
+        l2 = lw + density.log_abs(-x)
+        m = max(float(np.max(l1)), float(np.max(l2)))
+        if m == -math.inf:
+            return -math.inf
+        ssum = float(np.sum(_ML1_WEIGHTS * (np.exp(l1 - m) + np.exp(l2 - m))))
+        if ssum <= 0.0:
+            return -math.inf
+        return m + math.log(half * ssum)
+
+    log_total = -math.inf
+    octs = []
+    small = 0
+    converged = False
+    a, b = 0.0, 1.0
+    for i in range(64):
+        if i == 0:
+            lo_edge = 2.0 ** -24
+            lo = np.logaddexp(-math.inf, octave_log_integral(0.0, lo_edge))
+            while lo_edge < 1.0:
+                hi_edge = 2.0 * lo_edge
+                lo = np.logaddexp(lo, octave_log_integral(lo_edge, hi_edge))
+                lo_edge = hi_edge
+            lo = float(lo)
+        else:
+            lo = octave_log_integral(a, b)
+        octs.append(lo)
+        log_total = np.logaddexp(log_total, lo)
+        if lo < log_total - 41.5:
+            small += 1
+            if small >= 3:
+                converged = True
+                break
+        else:
+            small = 0
+        a, b = b, 2.0 * b
+
+    edges = np.arange(-256.0, 256.0 + 2.0, 4.0)
+    moment = 0.0 + 0j
+    for lo_e, hi_e in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (lo_e + hi_e), 0.5 * (hi_e - lo_e)
+        moment += half * np.sum(_ML1_WEIGHTS * density.value(mid + half * _ML1_NODES))
+
+    return {
+        "value": float(math.exp(log_total)) if log_total < 700 else math.inf,
+        "log_value": float(log_total),
+        "converged": converged,
+        "diverged": not converged,
+        "moment": complex(moment),
+        "octaves": octs,
+    }
+
+
+def bump_transform_direct(mu: float, xi) -> np.ndarray:
+    """gevrey_bump_ft summed at every xi, negative ones included, without conjugation."""
+    ts, wts = _de_nodes()
+    fv = gevrey_bump(mu, ts) * wts
+    x = np.atleast_1d(np.asarray(xi, dtype=float))
+    return np.sum(fv[None, :] * np.exp(-1j * np.outer(x, ts)), axis=1) / SQRT_2PI

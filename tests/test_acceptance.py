@@ -189,21 +189,21 @@ def test_acceptance_06b_subalgebra_ladder_decay():
 def test_acceptance_07_constants():
     # closed form at order 1 and integration by parts at order 2
     for t in (0.1, 1.0, 5.0, 30.0):
-        assert upper_incomplete_gamma(1.0, t) == pytest.approx(math.exp(-t), rel=1e-9)
+        assert upper_incomplete_gamma(1.0, t) == pytest.approx(math.exp(-t), rel=1e-9, abs=0.0)
         assert upper_incomplete_gamma(2.0, t) == pytest.approx(
-            (t + 1.0) * math.exp(-t), rel=1e-9
+            (t + 1.0) * math.exp(-t), rel=1e-9, abs=0.0
         )
         # recurrence f_{a+1}(t) = a f_a(t) + t^a e^{-t}
         for alpha in (1.5, 3.0):
             lhs = upper_incomplete_gamma(alpha + 1.0, t)
             rhs = alpha * upper_incomplete_gamma(alpha, t) + t**alpha * math.exp(-t)
-            assert lhs == pytest.approx(rhs, rel=1e-9)
+            assert lhs == pytest.approx(rhs, rel=1e-9, abs=0.0)
     # inverse round trip
     for alpha in (1.0, 2.0, 3.5):
         for u_frac in (0.5, 1e-4, 1e-10):
             u = u_frac * math.gamma(alpha)
             assert upper_incomplete_gamma(alpha, inverse_g(alpha, u)) == pytest.approx(
-                u, rel=1e-8
+                u, rel=1e-8, abs=0.0
             )
     # logarithmic asymptote of the inverse at order 2
     ratios = [inverse_g(2.0, u) / math.log(1.0 / u) for u in (1e-4, 1e-8, 1e-12)]

@@ -84,6 +84,42 @@ def test_config_syntax_error_is_usage_error(capsys, tmp_path):
     assert "config" in err
 
 
+@pytest.mark.parametrize("config, named", [
+    ({"algebra": {"n_pairs": 2}, "algebr": {}}, "'algebr'"),
+    ({"algebra": {"n_pair": 2}}, "'n_pair'"),
+    ({"partition": [1]}, "'partition'"),
+])
+def test_config_typo_is_usage_error(capsys, tmp_path, config, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, doc, err = run_cli(capsys, "--config", str(cfg),
+                             "verify", "algebra", "--profile", "quick")
+    assert code == 2
+    assert doc is None
+    assert len(err.strip().splitlines()) == 1
+    assert named in err
+
+
+def test_config_valid_keys_are_accepted(capsys, tmp_path):
+    # the quick profile runs the loglog ladder once a config asks for it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "algebra": {"n_pairs": 2}, "partition": {"dims": [1]},
+        "subalgebra": {"loglog_R": [16, 64]},
+        "corpus": {"N": 64},
+    }))
+    code, doc, _ = run_cli(capsys, "--config", str(cfg),
+                           "verify", "subalgebra", "--profile", "quick")
+    assert code == 0
+    kinds = [c["kind"] for c in doc["result"]["families"]["subalgebra"]["checks"]]
+    assert kinds == ["subalgebra_gevrey_ladder", "subalgebra_loglog_ladder"]
+    code, _, _ = run_cli(capsys, "--config", str(cfg), "corpus", "generate",
+                         "--count", "1", "--out", str(tmp_path / "c"))
+    assert code == 0
+    assert json.loads((tmp_path / "c" / "fixture_000.csv").read_text()
+                      .splitlines()[0])["N"] == 64
+
+
 # ----------------------------------------------------------------------
 # norm
 # ----------------------------------------------------------------------
@@ -281,3 +317,12 @@ def test_report_merge_ingests_campaign_document(capsys, tmp_path):
     assert res["reports"] >= 1
     assert not res["failing"]
     assert set(res["environment"]) == {"numpy", "platform", "python"}
+
+
+def test_report_merge_output_is_strict_json(capsys, tmp_path):
+    (tmp_path / "neg.json").write_text(json.dumps(_bare_report("n", False, "-inf")))
+    code = main(["report", "merge", str(tmp_path)])
+    doc = _strict(capsys.readouterr().out)
+    assert code == 1
+    assert doc["result"]["failing"] == ["n"]
+    assert doc["result"]["worst_margins"]["demo"] == "-inf"

@@ -79,6 +79,15 @@ def test_bump_transform_conjugate_symmetry():
     np.testing.assert_allclose(vals_neg, np.conj(vals_pos), atol=1e-14)
 
 
+@pytest.mark.parametrize("mu", [-1.0, -2.0])
+def test_bump_transform_negative_xi_is_exact_conjugate(mu):
+    xi = np.concatenate([np.linspace(-300.0, 300.0, 601), [0.7, -0.7, -3.3]])
+    got = gevrey_bump_ft(mu, xi)
+    # summing at each negative xi gives the conjugate bit for bit
+    assert np.array_equal(got, orc.bump_transform_direct(mu, xi))
+    assert np.all(gevrey_bump_ft(mu, -xi) == np.conj(got))
+
+
 def test_bump_decay_certificate_is_one_sided():
     fit = gevrey_bump_decay(-1.0, np.linspace(5.0, 200.0, 40))
     assert fit["s"] == pytest.approx(2.0)
@@ -250,6 +259,36 @@ def test_measure_up_under_slowly_varying_weight():
     assert math.isfinite(out["value"]) and out["value"] > 0
     # zero-mean: integral of the transform is sqrt(2 pi) * up(0) = 0
     assert abs(out["moment"]) < 1e-6
+
+
+def _shifted_gaussian() -> Density:
+    """Test-only density exp(-(xi - 1)^2): |g(-xi)| != |g(xi)|."""
+    def val(xi):
+        return np.exp(-(np.atleast_1d(np.asarray(xi, dtype=float)) - 1.0) ** 2) + 0j
+
+    return Density("shifted_gaussian", val,
+                   lambda xi: -(np.atleast_1d(np.asarray(xi, dtype=float)) - 1.0) ** 2)
+
+
+_ML1_DENSITIES = {
+    "gaussian": lambda: density_by_name("gaussian"),
+    "rational_decay": lambda: density_by_name("rational_decay"),
+    "gevrey_bump": lambda: density_by_name("gevrey_bump", mu=-2.0),
+    "up": lambda: density_by_name("up"),
+    "shifted_gaussian": _shifted_gaussian,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ML1_DENSITIES))
+def test_measure_matches_per_octave_route(name):
+    # one-pass ladder and once-per-density moment against the panel-by-panel
+    # route, every field exactly, over the campaign's regimes and lambdas
+    density = _ML1_DENSITIES[name]()
+    for regime, params in (("gevrey", {"s": 2.0}),
+                           ("loglog", {"theta": 1.0, "eps": 0.5})):
+        for lam in (0.1, 1.0, 10.0):
+            got = measure_L1(regime, density, lam, params)
+            assert got == orc.measure_L1_per_octave(regime, density, lam, params)
 
 
 def test_measure_validation():

@@ -1,12 +1,16 @@
 """Weight profile, critical constants, weight families, inequality sweeps."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modspaces
 from modspaces.weights import (
     LOG_TOL,
     SHIFT,
@@ -211,6 +215,28 @@ def test_sweep_gevrey_2d_small():
     assert rep.passed
     assert rep.points_checked == 17 ** 4
     assert len(rep.worst_point) == 4
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 7, 16])
+@pytest.mark.parametrize("s", [1.2, 1.5, 2.0, 3.0])
+def test_sweep_gevrey_2d_matches_full_box(s, radius):
+    # fundamental-domain sweep against the full-box loop, exactly
+    rep = verify_weight_inequality("gevrey", {"s": s}, {"radius": radius, "n": 2})
+    margin, worst, count = orc.sweep_gevrey_2d_full_box(s, radius)
+    assert rep.min_margin == margin
+    assert rep.worst_point == worst
+    assert rep.points_checked == count == (2 * radius + 1) ** 4
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported by analyze_weight alone, on first use
+    src = os.path.dirname(os.path.dirname(modspaces.__file__))
+    code = ("import sys, modspaces, modspaces.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_sweep_loglog_admissible_passes():
