@@ -68,7 +68,7 @@ from .specialfn import (
     up_grid,
 )
 from .superpose import (
-    exp_minus_one_norm,
+    bound_scan,
     fit_growth_envelope,
     lipschitz_check,
     phase_split,
@@ -166,11 +166,32 @@ def _check(kind: str, passed: bool, margin: float, detail: dict) -> dict:
             "min_margin": float(margin), **detail}
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _typed_like(default, value) -> bool:
+    """Whether a config value has the type of a profile default.
+
+    A float takes any number and a list a list of numbers or of strings,
+    like its entries; any other type takes only itself (an int no bool).
+    """
+    if isinstance(default, list):
+        entry = (int, float) if _is_number(default[0]) else str
+        return isinstance(value, list) and all(
+            isinstance(v, entry) and not isinstance(v, bool) for v in value)
+    if isinstance(default, float):
+        return _is_number(value)
+    return type(value) is type(default)
+
+
 def _family_settings(profile: str, quick: dict, full: dict,
                      config: dict, family: str) -> dict:
     """The profile's defaults for one family, overridden by its config keys.
 
-    Both profiles define the same keys; any other key is an input error.
+    Both profiles define the same keys; any other key, or a value whose
+    type differs from the defaults', is an input error.  null is taken
+    where one profile's default is null.
     """
     settings = dict(quick if profile == "quick" else full)
     overrides = config.get(family, {})
@@ -178,6 +199,13 @@ def _family_settings(profile: str, quick: dict, full: dict,
     if unknown:
         raise ValueError(f"config: unknown key {unknown[0]!r} in family "
                          f"{family!r}; known keys: {', '.join(sorted(settings))}")
+    for key, value in sorted(overrides.items()):
+        defaults = (quick[key], full[key])
+        typed = next(d for d in defaults if d is not None)
+        if not (None in defaults if value is None else _typed_like(typed, value)):
+            like = json.dumps(typed) + (" or null" if None in defaults else "")
+            raise ValueError(f"config: key {key!r} in family {family!r} takes a "
+                             f"value typed like {like}, not {json.dumps(value)}")
     settings.update(overrides)
     return settings
 
@@ -278,12 +306,16 @@ def verify_algebra(profile: str, config: dict) -> tuple[bool, dict]:
         full={"n_pairs": 50, "N": 128, "B": 20.0,
               "weights": ["gevrey", "loglog", "polynomial"]},
         config=config, family="algebra")
-    pairs = _algebra_corpus(st["n_pairs"], st["N"], st["B"])
     specs = {
         "gevrey": WeightSpec.gevrey(s=2.0),
         "loglog": WeightSpec.loglog(),
         "polynomial": WeightSpec.polynomial(s=2.0),
     }
+    for name in st["weights"]:
+        if name not in specs:
+            raise ValueError(f"config: key 'weights' in family 'algebra' names "
+                             f"unknown weight {name!r}; known: {', '.join(specs)}")
+    pairs = _algebra_corpus(st["n_pairs"], st["N"], st["B"])
     checks = []
     for name in st["weights"]:
         params = NormParams(p=2.0, q=2.0, weight=specs[name], mode="lattice")
@@ -399,13 +431,12 @@ def verify_superposition(profile: str, config: dict) -> tuple[bool, dict]:
                          {"max_residual": worst_prod, "tolerance": 1e-12,
                           "max_factors": st["product_N"]}))
 
-    # one-sided growth envelopes with a single constant pair per regime
-    vs, lhss = [], []
-    for f in fixtures:
-        for lam in st["lambdas"]:
-            g = f.copy_with(lam * f.values)
-            vs.append(mod_norm(g, params))
-            lhss.append(exp_minus_one_norm(g, params))
+    # one-sided growth envelopes with a single constant pair per regime,
+    # fitted to the (norm, lhs) points of every fixture's scan
+    rows = [row for f in fixtures for row in bound_scan(
+        f, params, "gevrey", st["lambdas"], regime_params={"s": 2.0})["rows"]]
+    vs = [row["norm_u"] for row in rows]
+    lhss = [row["lhs"] for row in rows]
     for regime, rp in (("gevrey", {"s": 2.0}),
                        ("loglog", {"theta": 1.5, "N": 3.0})):
         fit = fit_growth_envelope(vs, lhss, regime, rp)
@@ -695,14 +726,14 @@ def _extract_reports(doc, stem: str):
         fams = doc["result"].get("families")
         if isinstance(fams, dict):
             for fam, block in sorted(fams.items()):
-                for i, c in enumerate(block.get("checks", [])):
+                for i, c in enumerate(_check_list(block)):
                     yield _report_tuple(c, f"{fam}:{i}")
             return
-        for i, c in enumerate(doc["result"].get("checks", [])):
+        for i, c in enumerate(_check_list(doc["result"])):
             yield _report_tuple(c, f"checks:{i}")
         return
     if isinstance(doc, dict) and "checks" in doc:
-        for i, c in enumerate(doc["checks"]):
+        for i, c in enumerate(_check_list(doc)):
             yield _report_tuple(c, f"checks:{i}")
         return
     if isinstance(doc, dict) and "passed" in doc:
@@ -711,11 +742,27 @@ def _extract_reports(doc, stem: str):
     raise ValueError("unrecognized report layout")
 
 
-def _report_tuple(check: dict, fallback_prefix: str):
+def _check_list(block) -> list:
+    checks = block.get("checks", []) if isinstance(block, dict) else None
+    if not isinstance(checks, list):
+        raise ValueError("\"checks\" must be a list inside a JSON object")
+    return checks
+
+
+def _report_tuple(check, fallback_prefix: str):
+    """(id, kind, passed, min_margin) of one check; ValueError when malformed."""
+    if not isinstance(check, dict):
+        raise ValueError(f"{fallback_prefix}: a check must be a JSON object")
     kind = str(check.get("kind", "unknown"))
     rid = check.get("id", f"{fallback_prefix}:{kind}")
-    return (str(rid), kind, bool(check["passed"]),
-            float(check.get("min_margin", 0.0)))
+    passed = check["passed"]
+    if not isinstance(passed, bool):
+        raise ValueError(f"{rid}: \"passed\" must be true or false")
+    margin = check.get("min_margin", 0.0)
+    if not (_is_number(margin) or margin in ("inf", "-inf", "nan")):
+        raise ValueError(f"{rid}: \"min_margin\" must be a number "
+                         "or \"inf\", \"-inf\", \"nan\"")
+    return (str(rid), kind, passed, float(margin))
 
 
 def cmd_report_merge(args, config: dict) -> int:
@@ -728,7 +775,7 @@ def cmd_report_merge(args, config: dict) -> int:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-            rows.extend(_extract_reports(doc, os.path.splitext(name)[0]))
+            rows.extend(list(_extract_reports(doc, os.path.splitext(name)[0])))
         except (ValueError, KeyError, OSError) as exc:
             malformed.append({"file": name, "error": str(exc)})
             _say(f"warning: skipping malformed report {name}: {exc}")

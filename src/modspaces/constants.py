@@ -13,10 +13,6 @@ tests check both against mpmath.  The two
     delta = 2 - 2^(1/s); tail factors decay like exp(-delta*R^(1/s)).
   * loglog: weight exp(w(|k|)) with the slowly varying profile from
     `weights`; tail factors decay like a power R^(-N).
-
-Calibration constants the source estimates leave unquantified are
-caller-supplied multipliers defaulting to 1; every test works with
-ratios in which those multipliers cancel.
 """
 
 from __future__ import annotations
@@ -77,16 +73,15 @@ def _conjugate(q: float) -> float:
     return q / (q - 1.0)
 
 
-def constant_E_R(s: float, q: float, n: int, R: float,
-                 calibration: float = 1.0) -> float:
+def constant_E_R(s: float, q: float, n: int, R: float) -> float:
     """Radial tail constant of the gevrey regime.
 
     E_R = 2 pi^(n/2)/Gamma(n/2) * s * (delta q')^(-s n)
           * f_{s n}(delta q' (R-2)^(1/s)),   delta = 2 - 2^(1/s).
 
     For q = 1 (q' = inf) the l^{q'} aggregation degenerates to a sup
-    and the returned quantity is the sup-form tail exp(-delta (R-2)^(1/s))
-    times the calibration; see tail_factor for the (1/q')-power form.
+    and the returned quantity is the sup-form tail exp(-delta (R-2)^(1/s));
+    see tail_factor for the (1/q')-power form.
     """
     if s <= 1.0:
         raise ValueError("gevrey regime requires s > 1")
@@ -97,32 +92,31 @@ def constant_E_R(s: float, q: float, n: int, R: float,
     delta = 2.0 - 2.0 ** (1.0 / s)
     qp = _conjugate(q)
     if qp == math.inf:
-        return calibration * math.exp(-delta * (R - 2.0) ** (1.0 / s))
+        return math.exp(-delta * (R - 2.0) ** (1.0 / s))
     pref = 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n) * s * (delta * qp) ** (-s * n)
-    return calibration * pref * upper_incomplete_gamma(s * n, delta * qp * (R - 2.0) ** (1.0 / s))
+    return pref * upper_incomplete_gamma(s * n, delta * qp * (R - 2.0) ** (1.0 / s))
 
 
-def tail_factor(s: float, q: float, n: int, R: float,
-                calibration: float = 1.0) -> float:
-    """Gevrey-regime tail in the form calibration * E_R^(1/q').
+def tail_factor(s: float, q: float, n: int, R: float) -> float:
+    """Gevrey-regime tail in the form E_R^(1/q').
 
     This is the shape in which the constant enters the product and
     superposition bounds; q = 1 returns the sup-form value itself.
     """
     qp = _conjugate(q)
-    E = constant_E_R(s, q, n, R, 1.0)
+    E = constant_E_R(s, q, n, R)
     if qp == math.inf:
-        return calibration * E
-    return calibration * E ** (1.0 / qp)
+        return E
+    return E ** (1.0 / qp)
 
 
-def constant_G_RN(N: int, R: float, calibration: float = 1.0) -> float:
-    """Power-law tail of the loglog regime: calibration * R^(-N)."""
+def constant_G_RN(N: int, R: float) -> float:
+    """Power-law tail of the loglog regime: R^(-N)."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     if R < 2.0:
         raise ValueError("R must be >= 2")
-    return calibration * R ** (-float(N))
+    return R ** (-float(N))
 
 
 def constant_c3(regime: str, q: float, n: int, s: float | None = None,
@@ -185,7 +179,7 @@ def choose_R(regime: str, norm_u: float, params: dict | None = None) -> float:
 
     gevrey: solves tail_factor-ratio = norm_u^(1/s - 1), i.e.
         (f_{sn}(delta q' (R-2)^(1/s)) / Gamma(sn))^(1/q') = norm_u^(1/s-1),
-    via the inverse tail integral (calibration cancels in the ratio);
+    via the inverse tail integral;
     requires q > 1 so that q' < inf.  params: {"s": >1, "q": >1, "n"}.
 
     loglog: R = 2 * norm_u^(1/N).  params: {"N": positive int}.

@@ -55,8 +55,7 @@ def gevrey_bump(mu: float, t) -> float | np.ndarray:
     """phi_mu(t) = exp(-(1-t)^mu - t^mu) on (0,1), zero elsewhere; mu < 0.
 
     Since mu < 0 both exponents blow up at the endpoints, so the bump
-    and all its derivatives vanish there; phi_mu(1/2) = exp(-2^(1+ mu... )
-    = exp(-2*(1/2)^mu).
+    and all its derivatives vanish there; phi_mu(1/2) = exp(-2^(1-mu)).
     """
     if mu >= 0:
         raise ValueError("mu must be negative")
@@ -70,12 +69,14 @@ def gevrey_bump(mu: float, t) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-@functools.lru_cache(maxsize=8)
-def _de_nodes(h: float = 0.004, U: float = 4.0):
+@functools.lru_cache(maxsize=1)
+def _de_nodes():
     """Double-exponential nodes/weights for int_0^1 with flat endpoints.
 
-    t(u) = (1 + tanh((pi/2) sinh u))/2, dt/du = (pi/4) cosh u / cosh^2(...).
+    t(u) = (1 + tanh((pi/2) sinh u))/2, dt/du = (pi/4) cosh u / cosh^2(...),
+    on the step h = 0.004 over |u| <= 4.
     """
+    h, U = 0.004, 4.0
     us = np.arange(-U, U + h / 2, h)
     arg = 0.5 * math.pi * np.sinh(us)
     ts = 0.5 * (1.0 + np.tanh(arg))

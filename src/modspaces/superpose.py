@@ -8,7 +8,7 @@ registered profile functions, and the pointwise exponential-difference
 identity behind local Lipschitz continuity.
 
 Oscillatory compositions are not band-limited, so every composition is
-evaluated on an oversampled grid (default 4x) and the spectral tail
+evaluated on a fixed 4x oversampled grid and the spectral tail
 beyond the retained band is measured: a tail above 1e-6 of the total
 mass is a hard error, and smaller-but-noticeable tails surface as
 TruncationWarning through the norm layer.
@@ -22,9 +22,7 @@ probe.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -52,7 +50,6 @@ __all__ = [
     "exp_minus_one_norm",
     "fit_growth_envelope",
     "bound_scan",
-    "write_bound_table",
     "compose",
     "lipschitz_check",
     "subalgebra_band_ratio",
@@ -60,6 +57,11 @@ __all__ = [
 ]
 
 _REAL_TOL = 1e-10
+
+# e^{iu} - 1 and every composition f(u) are evaluated on a grid this
+# many times finer than u's; growth envelope fits scan this b grid.
+_OVERSAMPLE = 4
+_B_GRID = np.geomspace(1e-3, 10.0, 80)
 
 
 def _require_real(u: SampledFunction, who: str) -> np.ndarray:
@@ -197,28 +199,24 @@ def product_identity_check(a) -> float:
 # ---------------------------------------------------------------------------
 
 def exp_minus_one_norm(u: SampledFunction, params: NormParams, *,
-                       oversample: int = 4,
                        record: bool = False):
     """Modulation norm of e^{iu} - 1 for real u.
 
-    The composition is evaluated on an oversample-times finer grid
-    (the exponential widens the spectral band), then measured with the
-    requested norm.  Spectral mass beyond the retained band above 1e-6
-    of the total is a hard error: the grid is too coarse for the
-    answer to mean anything.  Smaller leakage is reported through the
-    usual TruncationWarning.
+    The composition is evaluated on a 4x finer grid (the exponential
+    widens the spectral band), then measured with the requested norm.
+    Spectral mass beyond the retained band above 1e-6 of the total is a
+    hard error: the grid is too coarse for the answer to mean anything.
+    Smaller leakage is reported through the usual TruncationWarning.
     """
     _require_inner_exponent(params, "exp_minus_one_norm")
     vals = _require_real(u, "exp_minus_one_norm")
-    base = u.copy_with(vals.astype(np.complex128))
-    fine = refine(base, oversample) if oversample > 1 else base
+    fine = refine(u.copy_with(vals.astype(np.complex128)), _OVERSAMPLE)
     composed = fine.copy_with(np.exp(1j * fine.values.real) - 1.0)
     rec = mod_norm_record(composed, params)
     if rec["truncation_tail"] > 1e-6:
         raise ValueError(
             "spectral tail {:.3g} of e^(iu)-1 exceeds 1e-6 of the total; "
-            "refine the grid or raise the oversampling factor".format(
-                rec["truncation_tail"]))
+            "refine the grid".format(rec["truncation_tail"]))
     return rec if record else rec["value"]
 
 
@@ -238,19 +236,19 @@ def _log_bound_shape(regime: str, v: np.ndarray, b: float,
 
 
 def fit_growth_envelope(norms, lhs_values, regime: str,
-                        regime_params: dict | None = None,
-                        b_grid=None) -> dict:
+                        regime_params: dict | None = None) -> dict:
     """One-sided Chebyshev fit of c * shape(v; b) >= lhs over all points.
 
-    For each b on the grid, c*(b) is the smallest constant making the
-    bound hold everywhere; the (b, c*) minimizing the worst-case slack
-    wins.  The slack is often flat in b to round-off, so every b within
-    1e-12 (relative) of the minimum counts as tied and the smallest
-    tied b, the mildest envelope, is taken.  Points from several
-    functions may be pooled, which is how a single constant pair is
-    certified across a whole corpus.  c carries
-    one part in 1e13 of headroom so the inequality holds in linear
-    arithmetic as well, not just for the fitted logarithms.
+    For each b on a fixed grid (80 geometric points on [1e-3, 10]),
+    c*(b) is the smallest constant making the bound hold everywhere;
+    the (b, c*) minimizing the worst-case slack wins.  The slack is
+    often flat in b to round-off, so every b within 1e-12 (relative)
+    of the minimum counts as tied and the smallest tied b, the mildest
+    envelope, is taken.  Points from several functions may be pooled,
+    which is how a single constant pair is certified across a whole
+    corpus.  c carries one part in 1e13 of headroom so the inequality
+    holds in linear arithmetic as well, not just for the fitted
+    logarithms.
     """
     regime_params = dict(regime_params or {})
     vs = np.asarray(norms, dtype=float)
@@ -259,11 +257,9 @@ def fit_growth_envelope(norms, lhs_values, regime: str,
         raise ValueError("norms and lhs_values must be equal-length, nonempty")
     if np.any(vs <= 0.0):
         raise ValueError("envelope fit needs positive norm values")
-    if b_grid is None:
-        b_grid = np.geomspace(1e-3, 10.0, 80)
     log_lhs = np.log(np.maximum(lhss, 1e-300))
     fits = []
-    for b in np.asarray(b_grid, dtype=float):
+    for b in _B_GRID:
         log_shape = _log_bound_shape(regime, vs, b, regime_params)
         log_c = float(np.max(log_lhs - log_shape)) + 1e-13
         log_bound = log_c + log_shape
@@ -285,8 +281,7 @@ def fit_growth_envelope(norms, lhs_values, regime: str,
 
 
 def bound_scan(u: SampledFunction, params: NormParams, regime: str,
-               lambdas, *, regime_params: dict | None = None,
-               b_grid=None, oversample: int = 4) -> dict:
+               lambdas, *, regime_params: dict | None = None) -> dict:
     """Scan lambda -> ||e^{i lambda u} - 1|| against a fitted envelope.
 
     For each lambda the left side L = ||e^{i lambda u} - 1|| and the
@@ -309,9 +304,9 @@ def bound_scan(u: SampledFunction, params: NormParams, regime: str,
     for lam in lambdas:
         scaled = u.copy_with(lam * u.values)
         vs.append(mod_norm(scaled, params))
-        lhss.append(exp_minus_one_norm(scaled, params, oversample=oversample))
+        lhss.append(exp_minus_one_norm(scaled, params))
     vs, lhss = np.array(vs), np.array(lhss)
-    best = fit_growth_envelope(vs, lhss, regime, regime_params, b_grid)
+    best = fit_growth_envelope(vs, lhss, regime, regime_params)
 
     rows = [
         {
@@ -333,25 +328,6 @@ def bound_scan(u: SampledFunction, params: NormParams, regime: str,
         "min_residual": best["min_residual"],
         "rows": rows,
     }
-
-
-def write_bound_table(scan: dict, csv_path, json_path=None) -> None:
-    """Emit the scan's per-lambda table as CSV plus a JSON summary."""
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "norm_u", "lhs", "fitted_bound", "residual"])
-        for row in scan["rows"]:
-            writer.writerow([repr(row["lambda"]), repr(row["norm_u"]),
-                             repr(row["lhs"]), repr(row["fitted_bound"]),
-                             repr(row["residual"])])
-    if json_path is not None:
-        summary = {k: scan[k] for k in
-                   ("regime", "regime_params", "b", "c",
-                    "max_residual", "min_residual")}
-        summary["n_rows"] = len(scan["rows"])
-        with open(json_path, "w") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +379,9 @@ def _density_profile(density: Density, t: np.ndarray) -> np.ndarray:
     return out.reshape(t.shape)
 
 
-def compose(f_name, u: SampledFunction, *, oversample: int = 4,
+def compose(f_name, u: SampledFunction, *,
             mu: float = -1.0) -> SampledFunction:
-    """Evaluate f(u(x)) on an oversampled grid.
+    """Evaluate f(u(x)) on a 4x oversampled grid.
 
     f_name may be one of the closed-form profile names — "up" (the
     iterated-convolution bump on [0, 2]) or "gevrey_bump" (the compact
@@ -415,8 +391,7 @@ def compose(f_name, u: SampledFunction, *, oversample: int = 4,
     f(0) = 0, so composition preserves decay at infinity.
     """
     vals = _require_real(u, "compose")
-    base = u.copy_with(vals.astype(np.complex128))
-    fine = refine(base, oversample) if oversample > 1 else base
+    fine = refine(u.copy_with(vals.astype(np.complex128)), _OVERSAMPLE)
     t = fine.values.real
     if isinstance(f_name, Density):
         out = _density_profile(f_name, t)
@@ -435,7 +410,7 @@ def compose(f_name, u: SampledFunction, *, oversample: int = 4,
 # ---------------------------------------------------------------------------
 
 def lipschitz_check(u: SampledFunction, v: SampledFunction,
-                    params: NormParams, *, oversample: int = 4) -> dict:
+                    params: NormParams) -> dict:
     """Check the pointwise exponential-difference identity and the ratio.
 
     The identity e^{iu} - e^{iv} =
@@ -459,9 +434,8 @@ def lipschitz_check(u: SampledFunction, v: SampledFunction,
         return {"identity_residual": identity_residual, "ratio": None}
 
     diff = u.copy_with((uu - vv).astype(np.complex128))
-    fine = refine(diff, oversample) if oversample > 1 else diff
-    base_v = refine(v.copy_with(vv.astype(np.complex128)), oversample) \
-        if oversample > 1 else v.copy_with(vv.astype(np.complex128))
+    fine = refine(diff, _OVERSAMPLE)
+    base_v = refine(v.copy_with(vv.astype(np.complex128)), _OVERSAMPLE)
     num_fun = fine.copy_with(
         np.exp(1j * (base_v.values.real + fine.values.real))
         - np.exp(1j * base_v.values.real))
@@ -480,9 +454,10 @@ def lipschitz_check(u: SampledFunction, v: SampledFunction,
 # ---------------------------------------------------------------------------
 
 def subalgebra_band_ratio(R: float, weight: WeightSpec, *, width: int = 3,
-                          N: int = 4096, p: float = 2.0,
-                          q: float = 1.0) -> float:
+                          N: int = 4096) -> float:
     """||fg|| / (||f|| ||g||) for f, g spectrally supported in (R, R + width].
+
+    Norms are lattice M^{2,1} norms with the given weight.
 
     Both factors get unit coefficients on the integer modes of the band
     (one signed orthant, so the band sits inside a single sign class
@@ -498,7 +473,7 @@ def subalgebra_band_ratio(R: float, weight: WeightSpec, *, width: int = 3,
         raise ValueError("band (R, R + width] contains no integer modes")
     if 2 * hi >= N // 2:
         raise ValueError("product band exceeds the grid's frequency range")
-    params = NormParams(p=p, q=q, weight=weight, mode="lattice")
+    params = NormParams(p=2.0, q=1.0, weight=weight, mode="lattice")
 
     coeffs = np.zeros(N, dtype=np.complex128)
     coeffs[np.arange(lo, hi + 1)] = 1.0

@@ -15,6 +15,7 @@ import math
 import mpmath as mp
 import numpy as np
 
+from modspaces.modspace import _normalization
 from modspaces.specialfn import (
     SQRT_2PI,
     _ML1_NODES,
@@ -201,3 +202,42 @@ def bump_transform_direct(mu: float, xi) -> np.ndarray:
     fv = gevrey_bump(mu, ts) * wts
     x = np.atleast_1d(np.asarray(xi, dtype=float))
     return np.sum(fv[None, :] * np.exp(-1j * np.outer(x, ts)), axis=1) / SQRT_2PI
+
+
+def stft_shift_inner_per_dimension(f, window, p) -> np.ndarray:
+    """The STFT shift loop with a separate branch per dimension.
+
+    The loop stft_norm ran before one n-dimensional roll and transform
+    served both dimensions; same chunks, same accumulation order.
+    """
+    phase, scale = _normalization(f.n, f.L, f.N)
+    vol = f.cell_volume
+    wv = np.conj(window.values)
+
+    n_shift = f.N if f.n == 1 else f.N * f.N
+    acc = np.zeros((f.N,) if f.n == 1 else (f.N, f.N))
+    pfin = p != math.inf
+
+    chunk = 256 if f.n == 1 else 32
+    shifts = list(range(n_shift))
+    for start in range(0, n_shift, chunk):
+        block = shifts[start : start + chunk]
+        if f.n == 1:
+            rolled = np.stack([np.roll(wv, j) for j in block])
+            G = f.values[None, :] * rolled
+            V = scale * phase[None, :] * np.fft.fft(G, axis=1)
+        else:
+            rolled = np.stack([
+                np.roll(wv, (j // f.N, j % f.N), axis=(0, 1)) for j in block
+            ])
+            G = f.values[None, :, :] * rolled
+            V = scale * phase[None, :, :] * np.fft.fft2(G, axes=(1, 2))
+        A = np.abs(V)
+        if pfin:
+            acc += np.sum(A ** float(p), axis=0)
+        else:
+            acc = np.maximum(acc, np.max(A, axis=0))
+
+    if pfin:
+        return (vol * acc) ** (1.0 / float(p))
+    return acc

@@ -100,6 +100,27 @@ def test_config_typo_is_usage_error(capsys, tmp_path, config, named):
     assert named in err
 
 
+@pytest.mark.parametrize("family, config, named", [
+    ("algebra", {"algebra": {"n_pairs": "x"}}, "'n_pairs'"),
+    ("algebra", {"algebra": {"n_pairs": 2.5}}, "'n_pairs'"),
+    ("algebra", {"algebra": {"weights": ["nope"]}}, "'nope'"),
+    ("subalgebra", {"subalgebra": {"gevrey_R": 4}}, "'gevrey_R'"),
+    ("superposition", {"superposition": {"lambdas": 2.0}}, "'lambdas'"),
+    ("weights", {"weights": {"sharpness_probe": "yes"}}, "'sharpness_probe'"),
+], ids=["int-as-string", "int-as-fraction", "unknown-weight", "list-as-int",
+        "list-as-float", "bool-as-string"])
+def test_config_value_of_wrong_type_is_usage_error(capsys, tmp_path, family,
+                                                   config, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, doc, err = run_cli(capsys, "--config", str(cfg),
+                             "verify", family, "--profile", "quick")
+    assert code == 2
+    assert doc is None
+    assert len(err.strip().splitlines()) == 1
+    assert named in err and repr(family) in err
+
+
 def test_config_valid_keys_are_accepted(capsys, tmp_path):
     # the quick profile runs the loglog ladder once a config asks for it
     cfg = tmp_path / "cfg.json"
@@ -169,14 +190,24 @@ def test_norm_non_finite_value_fails(capsys, tmp_path):
         assert code == 1
         assert doc["passed"] is False
         assert doc["result"]["value"] == "inf"
-    f = SampledFunction(1, math.pi, 32, np.ones(32, dtype=complex))
-    f.values[3] = math.nan
-    save_function(f, tmp_path / "nan.csv")
-    code = main(["norm", str(tmp_path / "nan.csv")])
+    # finite samples of alternating sign +-1e308 overflow in the FFT
+    f = SampledFunction(1, math.pi, 32, 1e308 * (-1.0) ** np.arange(32) + 0j)
+    save_function(f, tmp_path / "overflow.csv")
+    code = main(["norm", str(tmp_path / "overflow.csv")])
     doc = _strict(capsys.readouterr().out)
     assert code == 1
     assert doc["passed"] is False
     assert doc["result"]["value"] == "nan"
+
+
+def test_norm_rejects_non_finite_sample(capsys, tmp_path):
+    f = SampledFunction(1, math.pi, 32, np.ones(32, dtype=complex))
+    f.values[3] = math.nan
+    save_function(f, tmp_path / "nan.csv")
+    code, doc, err = run_cli(capsys, "norm", str(tmp_path / "nan.csv"))
+    assert code == 2
+    assert doc is None
+    assert "finite" in err
 
 
 def test_norm_usage_errors(capsys, tmp_path):
@@ -295,6 +326,21 @@ def test_report_merge_pass_fail_and_malformed(capsys, tmp_path):
     assert res["failing"] == ["b"]
     assert any(m["file"] == "broken.json" for m in res["malformed"])
     assert res["worst_margins"]["demo"] == pytest.approx(-0.1)
+
+
+@pytest.mark.parametrize("report", [
+    {"checks": [1]},
+    {"checks": [{"passed": True, "min_margin": [1]}]},
+    {"checks": [{"kind": "x", "passed": "false", "min_margin": -1.0}]},
+    {"checks": [{"kind": "x", "passed": True, "min_margin": 1.0}, 1]},
+], ids=["check-not-object", "margin-not-number", "passed-not-boolean",
+        "bad-check-after-good"])
+def test_report_merge_lists_malformed_check(capsys, tmp_path, report):
+    (tmp_path / "odd.json").write_text(json.dumps(report))
+    code, doc, _ = run_cli(capsys, "report", "merge", str(tmp_path))
+    res = doc["result"]
+    assert [m["file"] for m in res["malformed"]] == ["odd.json"]
+    assert res["reports"] == 0
 
 
 def test_report_merge_dedups_by_id(capsys, tmp_path):

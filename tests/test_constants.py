@@ -133,12 +133,6 @@ def test_tail_constant_monotone_in_R():
     assert vals[-1] < 1e-3 * vals[0]
 
 
-def test_tail_constant_calibration_scales_linearly():
-    base = constant_E_R(2.0, 2.0, 1, 5.0)
-    assert constant_E_R(2.0, 2.0, 1, 5.0, calibration=3.0) == pytest.approx(3 * base)
-    assert constant_G_RN(3, 4.0, calibration=2.0) == pytest.approx(2.0 * 4.0 ** -3)
-
-
 def test_tail_constant_validation():
     with pytest.raises(ValueError):
         constant_E_R(1.0, 2.0, 1, 5.0)

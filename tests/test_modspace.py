@@ -531,6 +531,19 @@ def test_stft_norm_p2_matches_shift_loop_under_steep_weight(monkeypatch):
     assert got == pytest.approx(expect, rel=1e-11)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("L", [PI, 5.0])
+@pytest.mark.parametrize("n,N", [(1, 64), (1, 512), (2, 16), (2, 32)])
+def test_stft_shift_loop_matches_per_dimension_loop(n, N, L, p):
+    # One n-dimensional roll and transform per shift gives the
+    # per-dimension loop's inner norms bit for bit.  Both factors are
+    # complex and asymmetric, so a roll along the wrong axis shows.
+    f = synthesize("random_bandlimited", n=n, L=L, N=N, seed=41, B=3.0, real=False)
+    window = synthesize("random_bandlimited", n=n, L=L, N=N, seed=42, B=3.0, real=False)
+    assert np.array_equal(modspace._stft_shift_inner(f, window, p),
+                          orc.stft_shift_inner_per_dimension(f, window, p))
+
+
 # ----------------------------------------------------------------------
 # algebra helpers
 # ----------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Phase splitting, product identity, composition norms, growth envelopes."""
 
-import csv
-import json
 import math
 
 import numpy as np
@@ -31,7 +29,6 @@ from modspaces.superpose import (
     product_identity_check,
     subalgebra_band_ratio,
     subalgebra_ladder,
-    write_bound_table,
 )
 from modspaces.weights import WeightSpec
 
@@ -279,26 +276,6 @@ def test_bound_scan_residuals_one_sided(regime, rparams):
         assert row["lhs"] > 0.0
         # the scaled norm is exactly homogeneous in lambda
         assert row["norm_u"] == pytest.approx(lam * norm_u1, rel=1e-10)
-
-
-def test_write_bound_table_round_trip(tmp_path):
-    u = synthesize("random_bandlimited", B=6.0, N=64, seed=321)
-    params = NormParams(2.0, 1.0, WeightSpec.gevrey(2.0))
-    scan = bound_scan(u, params, "gevrey", [0.5, 1.0, 2.0],
-                      regime_params={"s": 2.0})
-    cpath = tmp_path / "scan.csv"
-    jpath = tmp_path / "scan.json"
-    write_bound_table(scan, cpath, jpath)
-    with open(cpath, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["lambda", "norm_u", "lhs", "fitted_bound", "residual"]
-    assert len(rows) == 1 + 3
-    # repr round trip is bit-exact
-    assert float(rows[1][2]) == scan["rows"][0]["lhs"]
-    summary = json.loads(jpath.read_text())
-    assert summary["regime"] == "gevrey"
-    assert summary["n_rows"] == 3
-    assert summary["min_residual"] >= 0.0
 
 
 # ----------------------------------------------------------------------
