@@ -185,29 +185,62 @@ def _typed_like(default, value) -> bool:
     return type(value) is type(default)
 
 
-def _family_settings(profile: str, quick: dict, full: dict,
-                     config: dict, family: str) -> dict:
-    """The profile's defaults for one family, overridden by its config keys.
+# Each config family's quick and full profile defaults.  A --config file
+# may override exactly these keys, with a value typed like the defaults'
+# (null where one profile's default is null); corpus generation always
+# takes the "full" entry.
+_CORPUS_DEFAULTS = {"N": 256, "L": math.pi, "n": 1,
+                    "bands": [10.0, 25.0, 40.0, 55.0]}
+_PROFILES = {
+    "weights": {
+        "quick": {"gevrey_s": [1.5, 2.0], "gevrey_radius_1d": 50,
+                  "gevrey_radius_2d": 0, "loglog_grid_max": 500.0,
+                  "loglog_step": 2.0, "loglog_random": 20_000,
+                  "sharpness_probe": False, "elementary_points": 50_001},
+        "full": {"gevrey_s": [1.2, 1.5, 2.0, 3.0], "gevrey_radius_1d": 200,
+                 "gevrey_radius_2d": 40, "loglog_grid_max": 2000.0,
+                 "loglog_step": 0.5, "loglog_random": 100_000,
+                 "sharpness_probe": True, "elementary_points": 200_001},
+    },
+    "partition": {"quick": {"dims": [1]}, "full": {"dims": [1, 2]}},
+    "algebra": {
+        "quick": {"n_pairs": 10, "N": 128, "B": 20.0, "weights": ["gevrey"]},
+        "full": {"n_pairs": 50, "N": 128, "B": 20.0,
+                 "weights": ["gevrey", "loglog", "polynomial"]},
+    },
+    "subalgebra": {
+        "quick": {"gevrey_R": [4, 8, 16, 32], "gevrey_s": 1.5,
+                  "gevrey_decay": 10.0, "loglog_R": None,
+                  "loglog_stepwise_from": 16.0},
+        "full": {"gevrey_R": [4, 8, 16, 32], "gevrey_s": 1.5,
+                 "gevrey_decay": 10.0, "loglog_R": [4, 16, 64, 256, 512],
+                 "loglog_stepwise_from": 16.0},
+    },
+    "superposition": {
+        "quick": {"n_fixtures": 2, "lambdas": [2.0, 4.0, 8.0],
+                  "measure_lams": [1.0], "product_N": 6,
+                  "N": 256, "B": 12.0, "split_R": 8.0},
+        "full": {"n_fixtures": 5, "lambdas": [2.0, 4.0, 8.0, 16.0],
+                 "measure_lams": [0.1, 1.0, 10.0], "product_N": 8,
+                 "N": 256, "B": 12.0, "split_R": 8.0},
+    },
+    "corpus": {"quick": _CORPUS_DEFAULTS, "full": _CORPUS_DEFAULTS},
+}
 
-    Both profiles define the same keys; any other key, or a value whose
-    type differs from the defaults', is an input error.  null is taken
-    where one profile's default is null.
-    """
-    settings = dict(quick if profile == "quick" else full)
-    overrides = config.get(family, {})
-    unknown = sorted(set(overrides) - set(settings))
-    if unknown:
-        raise ValueError(f"config: unknown key {unknown[0]!r} in family "
-                         f"{family!r}; known keys: {', '.join(sorted(settings))}")
-    for key, value in sorted(overrides.items()):
-        defaults = (quick[key], full[key])
-        typed = next(d for d in defaults if d is not None)
-        if not (None in defaults if value is None else _typed_like(typed, value)):
-            like = json.dumps(typed) + (" or null" if None in defaults else "")
-            raise ValueError(f"config: key {key!r} in family {family!r} takes a "
-                             f"value typed like {like}, not {json.dumps(value)}")
-    settings.update(overrides)
-    return settings
+# families whose settings a --config file may override
+_CONFIG_FAMILIES = tuple(sorted(_PROFILES))
+
+# the weights an "algebra" config may name
+_ALGEBRA_WEIGHTS = {
+    "gevrey": WeightSpec.gevrey(s=2.0),
+    "loglog": WeightSpec.loglog(),
+    "polynomial": WeightSpec.polynomial(s=2.0),
+}
+
+
+def _family_settings(profile: str, config: dict, family: str) -> dict:
+    """The profile's defaults for one family, overridden by its config keys."""
+    return {**_PROFILES[family][profile], **config.get(family, {})}
 
 
 # ---------------------------------------------------------------------------
@@ -216,17 +249,7 @@ def _family_settings(profile: str, quick: dict, full: dict,
 
 
 def verify_weights(profile: str, config: dict) -> tuple[bool, dict]:
-    st = _family_settings(
-        profile,
-        quick={"gevrey_s": [1.5, 2.0], "gevrey_radius_1d": 50,
-               "gevrey_radius_2d": 0, "loglog_grid_max": 500.0,
-               "loglog_step": 2.0, "loglog_random": 20_000,
-               "sharpness_probe": False, "elementary_points": 50_001},
-        full={"gevrey_s": [1.2, 1.5, 2.0, 3.0], "gevrey_radius_1d": 200,
-              "gevrey_radius_2d": 40, "loglog_grid_max": 2000.0,
-              "loglog_step": 0.5, "loglog_random": 100_000,
-              "sharpness_probe": True, "elementary_points": 200_001},
-        config=config, family="weights")
+    st = _family_settings(profile, config, "weights")
 
     ana = analyze_weight()
     analysis = {"t0": ana.t0, "p0": ana.p0,
@@ -275,9 +298,7 @@ def verify_weights(profile: str, config: dict) -> tuple[bool, dict]:
 
 
 def verify_partition_family(profile: str, config: dict) -> tuple[bool, dict]:
-    st = _family_settings(profile, quick={"dims": [1]},
-                          full={"dims": [1, 2]},
-                          config=config, family="partition")
+    st = _family_settings(profile, config, "partition")
     checks = []
     for n in st["dims"]:
         rep = verify_partition(build_window(n))
@@ -300,25 +321,12 @@ def _algebra_corpus(n_pairs: int, N: int, B: float, base_seed: int = 100):
 
 
 def verify_algebra(profile: str, config: dict) -> tuple[bool, dict]:
-    st = _family_settings(
-        profile,
-        quick={"n_pairs": 10, "N": 128, "B": 20.0, "weights": ["gevrey"]},
-        full={"n_pairs": 50, "N": 128, "B": 20.0,
-              "weights": ["gevrey", "loglog", "polynomial"]},
-        config=config, family="algebra")
-    specs = {
-        "gevrey": WeightSpec.gevrey(s=2.0),
-        "loglog": WeightSpec.loglog(),
-        "polynomial": WeightSpec.polynomial(s=2.0),
-    }
-    for name in st["weights"]:
-        if name not in specs:
-            raise ValueError(f"config: key 'weights' in family 'algebra' names "
-                             f"unknown weight {name!r}; known: {', '.join(specs)}")
+    st = _family_settings(profile, config, "algebra")
     pairs = _algebra_corpus(st["n_pairs"], st["N"], st["B"])
     checks = []
     for name in st["weights"]:
-        params = NormParams(p=2.0, q=2.0, weight=specs[name], mode="lattice")
+        params = NormParams(p=2.0, q=2.0, weight=_ALGEBRA_WEIGHTS[name],
+                            mode="lattice")
         rep = check_algebra_ratio(pairs, params)
         d = rep.to_dict()
         d["kind"] = f"algebra_ratio_{name}"
@@ -329,20 +337,11 @@ def verify_algebra(profile: str, config: dict) -> tuple[bool, dict]:
 
 
 def verify_subalgebra(profile: str, config: dict) -> tuple[bool, dict]:
-    st = _family_settings(
-        profile,
-        quick={"gevrey_R": [4, 8, 16, 32], "gevrey_s": 1.5, "gevrey_N": 256,
-               "gevrey_decay": 10.0, "loglog_R": None, "loglog_N": 4096,
-               "loglog_stepwise_from": 16.0},
-        full={"gevrey_R": [4, 8, 16, 32], "gevrey_s": 1.5, "gevrey_N": 256,
-              "gevrey_decay": 10.0,
-              "loglog_R": [4, 16, 64, 256, 512], "loglog_N": 4096,
-              "loglog_stepwise_from": 16.0},
-        config=config, family="subalgebra")
+    st = _family_settings(profile, config, "subalgebra")
     checks = []
 
     lad = subalgebra_ladder(WeightSpec.gevrey(s=st["gevrey_s"]),
-                            st["gevrey_R"], N=st["gevrey_N"])
+                            st["gevrey_R"])
     rs = lad["ratio"]
     steps = [rs[i] - rs[i + 1] for i in range(len(rs) - 1)]
     decay = rs[0] / rs[-1]
@@ -354,8 +353,7 @@ def verify_subalgebra(profile: str, config: dict) -> tuple[bool, dict]:
          "required_decay": st["gevrey_decay"]}))
 
     if st["loglog_R"]:
-        lad2 = subalgebra_ladder(WeightSpec.loglog(), st["loglog_R"],
-                                 N=st["loglog_N"])
+        lad2 = subalgebra_ladder(WeightSpec.loglog(), st["loglog_R"])
         rs2, Rs2 = lad2["ratio"], lad2["R"]
         # The frozen reference scale inside the slowly varying weight
         # keeps its bracket essentially constant below |xi| ~ 15, so
@@ -375,15 +373,7 @@ def verify_subalgebra(profile: str, config: dict) -> tuple[bool, dict]:
 
 
 def verify_superposition(profile: str, config: dict) -> tuple[bool, dict]:
-    st = _family_settings(
-        profile,
-        quick={"n_fixtures": 2, "lambdas": [2.0, 4.0, 8.0],
-               "measure_lams": [1.0], "product_N": 6,
-               "N": 256, "B": 12.0, "split_R": 8.0},
-        full={"n_fixtures": 5, "lambdas": [2.0, 4.0, 8.0, 16.0],
-              "measure_lams": [0.1, 1.0, 10.0], "product_N": 8,
-              "N": 256, "B": 12.0, "split_R": 8.0},
-        config=config, family="superposition")
+    st = _family_settings(profile, config, "superposition")
     checks = []
     wspec = WeightSpec.gevrey(s=2.0)
     params = NormParams(p=2.0, q=1.0, weight=wspec, mode="lattice")
@@ -546,11 +536,6 @@ _FAMILIES = {
     "constants": verify_constants,
 }
 
-# families whose settings a --config file may override
-_CONFIG_FAMILIES = ("algebra", "corpus", "partition", "subalgebra",
-                    "superposition", "weights")
-
-
 def cmd_verify(args, config: dict) -> int:
     started = time.time()
     families = list(_FAMILIES) if args.family == "all" else [args.family]
@@ -690,9 +675,7 @@ def cmd_special(args, config: dict) -> int:
 
 def cmd_corpus_generate(args, config: dict) -> int:
     started = time.time()
-    defaults = {"N": 256, "L": math.pi, "n": 1,
-                "bands": [10.0, 25.0, 40.0, 55.0]}
-    st = _family_settings("full", defaults, defaults, config, "corpus")
+    st = _family_settings("full", config, "corpus")
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     entries = []
@@ -719,7 +702,9 @@ def _extract_reports(doc, stem: str):
 
     Campaign outputs get position-derived ids (family:index:kind) so
     the same campaign merged twice deduplicates; bare single reports
-    fall back to an explicit "id" field or the file name.
+    fall back to an explicit "id" field or the file name.  A command
+    document whose result holds neither families nor checks (a saved
+    norm, say) is one report carrying its own top-level verdict.
     """
     if isinstance(doc, dict) and "result" in doc and \
             isinstance(doc["result"], dict):
@@ -728,6 +713,9 @@ def _extract_reports(doc, stem: str):
             for fam, block in sorted(fams.items()):
                 for i, c in enumerate(_check_list(block)):
                     yield _report_tuple(c, f"{fam}:{i}")
+            return
+        if "checks" not in doc["result"]:
+            yield _report_tuple(doc, stem)
             return
         for i, c in enumerate(_check_list(doc["result"])):
             yield _report_tuple(c, f"checks:{i}")
@@ -795,7 +783,8 @@ def cmd_report_merge(args, config: dict) -> int:
     for _, kind, _, margin in unique:
         worst[kind] = min(worst.get(kind, math.inf), margin)
     failing = [rid for rid, _, ok, _ in unique if not ok]
-    passed = not failing
+    # A file the merge could not read is a report it cannot vouch for.
+    passed = not failing and not malformed
     result = {
         "files": len(files),
         "reports": len(unique),
@@ -870,7 +859,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_problem(config) -> str | None:
-    """What is wrong with a parsed config's layout, or None when nothing is."""
+    """What is wrong with a parsed config, or None when nothing is.
+
+    Every family in the config is checked, whichever command runs: its
+    name, that it maps to an object, each key and value type against
+    the profile defaults in _PROFILES, and the algebra weight names.
+    """
     if not isinstance(config, dict):
         return "must be a JSON object keyed by family name"
     for family, overrides in sorted(config.items()):
@@ -879,6 +873,22 @@ def _config_problem(config) -> str | None:
                     f"{', '.join(_CONFIG_FAMILIES)}")
         if not isinstance(overrides, dict):
             return f"family {family!r} must map to a JSON object"
+        quick, full = _PROFILES[family]["quick"], _PROFILES[family]["full"]
+        unknown = sorted(set(overrides) - set(quick))
+        if unknown:
+            return (f"unknown key {unknown[0]!r} in family {family!r}; "
+                    f"known keys: {', '.join(sorted(quick))}")
+        for key, value in sorted(overrides.items()):
+            defaults = (quick[key], full[key])
+            typed = next(d for d in defaults if d is not None)
+            if not (None in defaults if value is None else _typed_like(typed, value)):
+                like = json.dumps(typed) + (" or null" if None in defaults else "")
+                return (f"key {key!r} in family {family!r} takes a value "
+                        f"typed like {like}, not {json.dumps(value)}")
+    for name in config.get("algebra", {}).get("weights", []):
+        if name not in _ALGEBRA_WEIGHTS:
+            return (f"key 'weights' in family 'algebra' names unknown weight "
+                    f"{name!r}; known: {', '.join(_ALGEBRA_WEIGHTS)}")
     return None
 
 

@@ -207,33 +207,6 @@ def sigma_partial(w: WindowFunction, k, xi, alpha):
     return float(out) if out.ndim == 0 else out
 
 
-def _fd_partial(w: WindowFunction, k, xi, alpha, h: float = 1e-3):
-    """Central finite-difference estimate of D^alpha sigma_k at points xi."""
-    xi = _as_points(xi, w.n)
-
-    def ev(pts):
-        return sigma_eval(w, k, pts)
-
-    def diff(fun, axis, order):
-        if order == 0:
-            return fun
-        step = np.zeros(w.n)
-        step[axis] = h
-
-        def d1(pts):
-            return (fun(pts + step) - fun(pts - step)) / (2.0 * h)
-
-        def d2(pts):
-            return (fun(pts + step) - 2.0 * fun(pts) + fun(pts - step)) / (h * h)
-
-        return d1 if order == 1 else d2
-
-    fun = ev
-    for axis, a in enumerate(_as_index(alpha, w.n)):
-        fun = diff(fun, axis, a)
-    return fun(xi)
-
-
 def verify_partition(w: WindowFunction, grid=None) -> VerificationReport:
     """Grid verification of the five partition properties.
 
@@ -244,8 +217,8 @@ def verify_partition(w: WindowFunction, grid=None) -> VerificationReport:
       lower_bound     sigma_k >= 3^{-n} on the inner half cube
       lattice_delta   sigma_k(m) = [m == k] at integers, to 1e-14
       translation     sigma_k(xi+k) = sigma_0(xi) to 1e-14
-      deriv_translate finite-difference D^alpha sigma_k(xi+k) matches
-                      the k=0 value to 1e-8 for |alpha| <= 2
+      deriv_translate analytic D^alpha sigma_k(xi+k) from sigma_partial
+                      matches the k=0 value to 1e-8 for |alpha| <= 2
 
     The report's min_margin is the worst (threshold - deviation); the
     per-check numbers live in report.extra.
@@ -351,9 +324,9 @@ def verify_partition(w: WindowFunction, grid=None) -> VerificationReport:
     probe_d = rng.uniform(-0.95, 0.95, size=(40, n))
     deriv_dev = 0.0
     for alpha in alphas:
-        base = _fd_partial(w, (0,) * n, probe_d, alpha)
+        base = sigma_partial(w, (0,) * n, probe_d, alpha)
         for k in [(2,) * n, (-3,) * n]:
-            moved = _fd_partial(w, k, probe_d + np.asarray(k, dtype=float), alpha)
+            moved = sigma_partial(w, k, probe_d + np.asarray(k, dtype=float), alpha)
             deriv_dev = max(deriv_dev, float(np.max(np.abs(moved - base))))
     checks["deriv_translate"] = {"deviation": deriv_dev, "threshold": 1e-8}
 

@@ -35,11 +35,10 @@ from .modspace import (
     lp_norm,
     mod_norm,
     mod_norm_record,
-    multiply,
     refine,
 )
 from .specialfn import Density, gevrey_bump, up_eval
-from .weights import WeightSpec, w_star
+from .weights import WeightSpec, w_star, weight_eval
 
 __all__ = [
     "PhaseSplit",
@@ -453,32 +452,35 @@ def lipschitz_check(u: SampledFunction, v: SampledFunction,
 # Subalgebra decay ladders
 # ---------------------------------------------------------------------------
 
-def subalgebra_band_ratio(R: float, weight: WeightSpec, *, width: int = 3,
-                          N: int = 4096) -> float:
-    """||fg|| / (||f|| ||g||) for f, g spectrally supported in (R, R + width].
+def subalgebra_band_ratio(R: float, weight: WeightSpec, *,
+                          width: int = 3) -> float:
+    """||f^2|| / ||f||^2 for f spectrally supported in (R, R + width].
 
-    Norms are lattice M^{2,1} norms with the given weight.
+    Norms are lattice M^{2,1} norms at L = pi with the given weight.
 
-    Both factors get unit coefficients on the integer modes of the band
-    (one signed orthant, so the band sits inside a single sign class
-    once R >= 2); the product then lives in (2R, 2R + 2 width], where
-    the weight's submultiplicative slack is what the ratio measures.
-    The coefficients are deterministic so the ladder isolates the
-    weight's decay: random phases would add convolution-cancellation
-    noise of a few percent, swamping the slow regimes.
+    f has unit coefficients on the integer modes of the band (one
+    signed orthant, so the band sits inside a single sign class once
+    R >= 2), hence ||f|| = sum_k w(k).  f^2 lives in (2R, 2R + 2 width]
+    with coefficient (2 pi)^(-1/2) c(m) at m, where c(m) counts the
+    ordered pairs of band modes summing to m, hence
+    ||f^2|| = (2 pi)^(-1/2) sum_m w(m) c(m); the ratio is evaluated in
+    that closed form, so it measures the weight's submultiplicative
+    slack without FFT round-off.  The coefficients are deterministic so
+    the ladder isolates the weight's decay: random phases would add
+    convolution-cancellation noise of a few percent, swamping the slow
+    regimes.
     """
     lo = int(math.floor(R)) + 1
     hi = int(math.floor(R + width))
     if hi < lo:
         raise ValueError("band (R, R + width] contains no integer modes")
-    if 2 * hi >= N // 2:
-        raise ValueError("product band exceeds the grid's frequency range")
-    params = NormParams(p=2.0, q=1.0, weight=weight, mode="lattice")
-
-    coeffs = np.zeros(N, dtype=np.complex128)
-    coeffs[np.arange(lo, hi + 1)] = 1.0
-    f = from_spectrum(1, math.pi, N, coeffs)
-    return mod_norm(multiply(f, f), params) / mod_norm(f, params) ** 2
+    band = np.arange(lo, hi + 1)
+    unit = np.ones(band.size)
+    pairs = np.convolve(unit, unit)  # c(m) for m = 2 lo, ..., 2 hi
+    norm_f = float(np.sum(weight_eval(weight, band[:, None])))
+    norm_f2 = float(np.sum(
+        weight_eval(weight, np.arange(2 * lo, 2 * hi + 1)[:, None]) * pairs))
+    return norm_f2 / math.sqrt(2.0 * math.pi) / norm_f ** 2
 
 
 def subalgebra_ladder(weight: WeightSpec, R_values, **kwargs) -> dict:

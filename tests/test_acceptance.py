@@ -175,7 +175,7 @@ def test_acceptance_06a_algebra_ratios(weight, p, q):
 
 
 def test_acceptance_06b_subalgebra_ladder_decay():
-    ladder = subalgebra_ladder(WeightSpec.gevrey(1.5), [4.0, 8.0, 16.0, 32.0], N=256)
+    ladder = subalgebra_ladder(WeightSpec.gevrey(1.5), [4.0, 8.0, 16.0, 32.0])
     rs = ladder["ratio"]
     for lo, hi in zip(rs[1:], rs[:-1]):
         assert lo <= hi

@@ -121,6 +121,22 @@ def test_config_value_of_wrong_type_is_usage_error(capsys, tmp_path, family,
     assert named in err and repr(family) in err
 
 
+@pytest.mark.parametrize("command, config, named", [
+    (("verify", "constants"), {"superposition": {"typo": 1}}, "'typo'"),
+    (("verify", "partition"), {"superposition": {"lambdas": "x"}}, "'lambdas'"),
+    (("verify", "constants"), {"algebra": {"weights": ["nope"]}}, "'nope'"),
+], ids=["unknown-key", "wrong-type", "unknown-weight"])
+def test_config_is_checked_whole_before_any_family_runs(capsys, tmp_path, command,
+                                                        config, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, doc, err = run_cli(capsys, "--config", str(cfg), *command)
+    assert code == 2
+    assert doc is None
+    assert len(err.strip().splitlines()) == 1
+    assert named in err and repr(next(iter(config))) in err
+
+
 def test_config_valid_keys_are_accepted(capsys, tmp_path):
     # the quick profile runs the loglog ladder once a config asks for it
     cfg = tmp_path / "cfg.json"
@@ -341,6 +357,26 @@ def test_report_merge_lists_malformed_check(capsys, tmp_path, report):
     res = doc["result"]
     assert [m["file"] for m in res["malformed"]] == ["odd.json"]
     assert res["reports"] == 0
+
+
+def test_report_merge_fails_on_malformed_file(capsys, tmp_path):
+    (tmp_path / "odd.json").write_text(json.dumps({"checks": [1]}))
+    code, doc, _ = run_cli(capsys, "report", "merge", str(tmp_path))
+    assert code == 1
+    assert doc["passed"] is False and doc["result"]["passed"] is False
+    assert doc["result"]["failing"] == []
+
+
+def test_report_merge_keeps_a_command_verdict(capsys, tmp_path):
+    saved = {"command": "norm x", "passed": False, "result": {"value": "inf"}}
+    (tmp_path / "norm_x.json").write_text(json.dumps(saved))
+    (tmp_path / "good.json").write_text(json.dumps(_bare_report("g", True, 0.5)))
+    code, doc, _ = run_cli(capsys, "report", "merge", str(tmp_path))
+    assert code == 1
+    res = doc["result"]
+    assert res["reports"] == 2
+    assert res["failing"] == ["norm_x:unknown"]
+    assert res["malformed"] == []
 
 
 def test_report_merge_dedups_by_id(capsys, tmp_path):

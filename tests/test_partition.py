@@ -156,6 +156,15 @@ def test_verify_partition_1d_passes():
     assert rep.points_checked == 10_000
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_verify_partition_derivative_translation_is_exact(n):
+    # the check differentiates analytically, so translating sigma_k
+    # leaves its partials unchanged up to rounding
+    grid = np.linspace(-3.2, 3.2, 41)
+    rep = verify_partition(build_window(n), grid=grid)
+    assert rep.extra["checks"]["deriv_translate"]["deviation"] <= 1e-12
+
+
 def test_verify_partition_2d_passes():
     rep = verify_partition(build_window(2), grid=np.linspace(-3.2, 3.2, 41))
     assert rep.passed

@@ -32,6 +32,8 @@ from modspaces.superpose import (
 )
 from modspaces.weights import WeightSpec
 
+import _oracles as orc
+
 PI = math.pi
 
 
@@ -363,7 +365,7 @@ def test_lipschitz_equal_inputs_and_grid_mismatch():
 
 def test_band_ratio_bounded_and_decaying_gevrey():
     spec = WeightSpec.gevrey(1.5)
-    ladder = subalgebra_ladder(spec, [4.0, 8.0, 16.0, 32.0], N=256)
+    ladder = subalgebra_ladder(spec, [4.0, 8.0, 16.0, 32.0])
     rs = ladder["ratio"]
     assert all(0.0 < r < 1.0 for r in rs)
     for a, b in zip(rs, rs[1:]):
@@ -375,13 +377,37 @@ def test_band_ratio_slowly_varying_eventual_decay():
     # the slowly varying weight is nearly constant below |xi| ~ 15, so
     # decay is only asserted once the ladder passes that knee
     spec = WeightSpec.loglog()
-    ladder = subalgebra_ladder(spec, [16.0, 64.0], N=512)
+    ladder = subalgebra_ladder(spec, [16.0, 64.0])
     assert ladder["ratio"][1] < ladder["ratio"][0] / 2.0
 
 
 def test_band_ratio_validation():
     spec = WeightSpec.gevrey(1.5)
     with pytest.raises(ValueError):
-        subalgebra_band_ratio(4.2, spec, width=0.5, N=256)
-    with pytest.raises(ValueError):
-        subalgebra_band_ratio(100.0, spec, N=256)
+        subalgebra_band_ratio(4.2, spec, width=0.5)
+
+
+# the campaign's ladders: Gevrey s in {1.5, 2} and the slowly varying
+# weight, each with the grid size its former grid route used
+_LADDERS = {
+    "gevrey_1.5": (WeightSpec.gevrey(1.5), [4.0, 8.0, 16.0, 32.0], 256),
+    "gevrey_2": (WeightSpec.gevrey(2.0), [4.0, 8.0, 16.0, 32.0], 256),
+    "loglog": (WeightSpec.loglog(), [4.0, 16.0, 64.0, 256.0, 512.0], 4096),
+}
+
+
+@pytest.mark.parametrize("ladder", sorted(_LADDERS))
+def test_band_ratio_matches_mpmath(ladder):
+    spec, Rs, _ = _LADDERS[ladder]
+    for R in Rs:
+        exact = float(orc.band_ratio_mp(R, spec))
+        assert subalgebra_band_ratio(R, spec) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+def test_band_ratio_matches_grid_route():
+    # dual route: squaring the band function on a grid agrees to its
+    # FFT round-off floor on every campaign ladder point
+    for spec, Rs, N in _LADDERS.values():
+        for R in Rs:
+            assert subalgebra_band_ratio(R, spec) == pytest.approx(
+                orc.band_ratio_on_grid(R, spec, N), rel=1e-7, abs=0.0)
