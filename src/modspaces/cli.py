@@ -82,7 +82,8 @@ from .weights import WeightSpec, analyze_weight, verify_weight_inequality
 # ---------------------------------------------------------------------------
 
 
-def _emit(command: str, passed: bool, result: dict, started: float) -> int:
+def _emit(command: str, passed: bool, result: dict, started: float,
+          meta: dict | None = None) -> int:
     doc = {
         "command": command,
         "passed": bool(passed),
@@ -92,6 +93,7 @@ def _emit(command: str, passed: bool, result: dict, started: float) -> int:
             "timestamp": datetime.datetime.now(datetime.timezone.utc)
             .isoformat(),
             "runtime_seconds": round(time.time() - started, 3),
+            **(meta or {}),
         },
     }
     print(json.dumps(_strict_json(doc), sort_keys=True, indent=2, allow_nan=False))
@@ -540,18 +542,21 @@ def cmd_verify(args, config: dict) -> int:
     started = time.time()
     families = list(_FAMILIES) if args.family == "all" else [args.family]
     results = {}
+    seconds = {}
     all_passed = True
     for fam in families:
         t0 = time.time()
         passed, result = _FAMILIES[fam](args.profile, config)
+        seconds[fam] = time.time() - t0
         results[fam] = result
         results[fam]["passed"] = passed
         all_passed = all_passed and passed
         _say(f"{'ok' if passed else 'FAIL'}: verify {fam} "
-             f"({time.time() - t0:.1f}s)")
+             f"({seconds[fam]:.1f}s)")
     return _emit(f"verify {args.family} --profile {args.profile}",
                  all_passed, {"profile": args.profile,
-                              "families": results}, started)
+                              "families": results}, started,
+                 {"family_seconds": {f: round(t, 3) for f, t in seconds.items()}})
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +868,8 @@ def _config_problem(config) -> str | None:
 
     Every family in the config is checked, whichever command runs: its
     name, that it maps to an object, each key and value type against
-    the profile defaults in _PROFILES, and the algebra weight names.
+    the profile defaults in _PROFILES, the algebra weight names, the
+    subalgebra ladders' radii and the algebra and superposition counts.
     """
     if not isinstance(config, dict):
         return "must be a JSON object keyed by family name"
@@ -889,6 +895,19 @@ def _config_problem(config) -> str | None:
         if name not in _ALGEBRA_WEIGHTS:
             return (f"key 'weights' in family 'algebra' names unknown weight "
                     f"{name!r}; known: {', '.join(_ALGEBRA_WEIGHTS)}")
+    # values that would leave a check nothing to test: a ladder needs
+    # two rungs to decay between, a corpus at least one member
+    for key in ("gevrey_R", "loglog_R"):
+        radii = config.get("subalgebra", {}).get(key)
+        if radii is not None and not (
+                len(radii) >= 2 and radii[0] > 0
+                and all(a < b for a, b in zip(radii, radii[1:]))):
+            return (f"key {key!r} in family 'subalgebra' takes at least 2 "
+                    f"strictly increasing positive radii, not {json.dumps(radii)}")
+    for family, key in (("algebra", "n_pairs"), ("superposition", "n_fixtures")):
+        count = config.get(family, {}).get(key)
+        if count is not None and count < 1:
+            return f"key {key!r} in family {family!r} takes at least 1, not {count}"
     return None
 
 

@@ -92,17 +92,25 @@ def gevrey_bump_ft(mu: float, xi) -> complex | np.ndarray:
     are reliable for |result| down to about 1e-13 (|xi| <~ 300 for
     mu = -1).  phi_mu is real, so F(-xi) = conj F(xi): each distinct
     |xi| is summed once and negative xi take the conjugate, which is
-    bit-identical to summing at -xi.
+    bit-identical to summing at -xi.  Near both ends of [0, 1] the
+    bump underflows to exactly 0 (at 1132 of the 1587 nodes for
+    mu = -2), so the phases are computed only on the span of live
+    nodes and written into a zeroed row of full width; summing the
+    whole row keeps the pairwise-summation order, and so the sum.
     """
     ts, wts = _de_nodes()
     fv = gevrey_bump(mu, ts) * wts
+    live = np.flatnonzero(fv)
+    span = slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     mags, where = np.unique(np.abs(xi_arr), return_inverse=True)
     vals = np.empty(mags.shape, dtype=complex)
     chunk = 256
+    terms = np.zeros((min(chunk, mags.size), ts.size), dtype=complex)
     for i in range(0, mags.size, chunk):
         x = mags[i : i + chunk]
-        vals[i : i + chunk] = np.sum(fv[None, :] * np.exp(-1j * np.outer(x, ts)), axis=1)
+        terms[: x.size, span] = fv[span] * np.exp(-1j * np.outer(x, ts[span]))
+        vals[i : i + chunk] = np.sum(terms[: x.size], axis=1)
     vals /= SQRT_2PI
     out = vals[where.reshape(xi_arr.shape)]
     neg = xi_arr < 0.0
@@ -364,6 +372,18 @@ class Density:
             moment += half * np.sum(_ML1_WEIGHTS * v)
         return complex(moment)
 
+    @functools.cached_property
+    def ladder_log_abs(self) -> tuple[np.ndarray, np.ndarray]:
+        """log|g| at the nodes x of measure_L1's octave ladder and at -x.
+
+        Like moment it does not depend on the weight or on lam, so every
+        measure_L1 call on this density shares one evaluation.
+        """
+        x = _gauss_panels(_ML1_EDGES)[1].ravel()
+        both = self.log_abs(np.concatenate([x, -x])).reshape(2, -1)
+        both.flags.writeable = False  # shared by every call
+        return both[0], both[1]
+
 
 def density_by_name(name: str, **params) -> Density:
     """Registered densities: gevrey_bump(mu), up, rational_decay(k), gaussian(a).
@@ -485,8 +505,9 @@ def measure_L1(regime: str, density: Density, lam: float,
     (the integrand still rising, or falling too slowly, at 2^63) is
     flagged diverged.  An integrand may rise over dozens of octaves
     before its decay takes over; only the endpoint behavior decides.
-    The density and the weight are each evaluated once, on the nodes
-    of the whole ladder; the octaves are then summed in order.
+    The weight is evaluated once per call on the nodes of the whole
+    ladder, and log|g| once per density (Density.ladder_log_abs); the
+    octaves are then summed in order.
 
     Returns {value, log_value, converged, diverged, moment, octaves}.
     moment is int g dxi over [-256, 256] (the zero-mean check), computed
@@ -502,7 +523,7 @@ def measure_L1(regime: str, density: Density, lam: float,
     x = x.ravel()
     # both half-lines: |g(x)| + |g(-x)| share the weight (radial)
     lw = _log_weight(regime, lam, params, x)
-    la, lb = density.log_abs(np.concatenate([x, -x])).reshape(2, -1)
+    la, lb = density.ladder_log_abs
     l1 = (lw + la).reshape(halves.size, -1)
     l2 = (lw + lb).reshape(halves.size, -1)
 

@@ -314,30 +314,34 @@ def _sweep_gevrey(s: float, radius: int, n: int):
     # the box is invariant under the 8 symmetries of the square applied
     # to k and l together.  So k runs over the fundamental domain
     # 0 <= ky <= kx <= radius and l over the whole box; chunks of k
-    # cells are vectorized over all l.
+    # cells are vectorized over all l.  The exponents of |k-l| over the
+    # box are the window at (radius - kx, radius - ky) of the table over
+    # every difference, and since table is increasing,
+    # table[min(D2, L2)] = min(table[D2], table[L2]).
     side = np.arange(-radius, radius + 1)
     lx, ly = np.meshgrid(side, side, indexing="ij")
     lx = lx.ravel()
     ly = ly.ravel()
-    L2 = lx * lx + ly * ly
-    tL = table[L2]
+    tL = table[lx * lx + ly * ly]
+    diff = np.arange(-2 * radius, 2 * radius + 1)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        table[diff[:, None] ** 2 + diff[None, :] ** 2], (side.size, side.size))
     kx_all, ky_all = np.tril_indices(radius + 1)
     best = math.inf
     ties = []  # (kx, ky, lx, ly) arrays of the cells at the running minimum
-    chunk = 128
+    chunk = 16
     for start in range(0, kx_all.size, chunk):
-        kx = kx_all[start : start + chunk, None]
-        ky = ky_all[start : start + chunk, None]
-        K2 = kx * kx + ky * ky
-        D2 = (kx - lx[None, :]) ** 2 + (ky - ly[None, :]) ** 2
-        margin = tL[None, :] + table[D2] - delta * table[np.minimum(D2, L2[None, :])] - table[K2]
+        kx = kx_all[start : start + chunk]
+        ky = ky_all[start : start + chunk]
+        tD = windows[radius - kx, radius - ky].reshape(kx.size, -1)
+        margin = tL + tD - delta * np.minimum(tD, tL) - table[kx * kx + ky * ky][:, None]
         m = float(np.min(margin))
         if m > best:
             continue
         if m < best:
             best, ties = m, []
         i, j = np.nonzero(margin == m)
-        ties.append((kx[i, 0], ky[i, 0], lx[j], ly[j]))
+        ties.append((kx[i], ky[i], lx[j], ly[j]))
     return best, _first_image(ties), (2 * radius + 1) ** 4
 
 
@@ -365,30 +369,34 @@ def _sweep_loglog(s: float, grid_max: float, step: float, n_random: int, seed: i
     """Min margin of w(x) <= w(y) + w(x-y) - s*min(w(y), w(x-y)).
 
     The rectangular grid is uniform with the given step, so w(|x-y|)
-    is a lookup into the same table as w(x), w(y) via index distance.
-    A seeded uniform cloud in [0, random_max]^2 probes the far field.
+    is a lookup into the same table W as w(x), w(y) via index distance.
+    Row y of W[|y - x|] is the window V[m-y : 2m-y+1] of the mirrored
+    table V = (W[m], ..., W[1], W[0], W[1], ..., W[m]), so the row
+    blocks are slices of V's sliding windows in reverse order: views
+    that copy nothing.  A seeded uniform cloud in [0, random_max]^2
+    probes the far field.
     """
     m = int(round(grid_max / step))
     ts = np.arange(m + 1) * step
     W = w_star(ts)
+    rows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([W[:0:-1], W]), m + 1)[::-1]
 
     best_margin = math.inf
     worst = (0.0, 0.0)
     count = 0
-    chunk = 256
+    chunk = 16
     for start in range(0, m + 1, chunk):
         stop = min(start + chunk, m + 1)
-        rows = np.arange(start, stop)
-        wy = W[rows][:, None]
-        idx_diff = np.abs(rows[:, None] - np.arange(m + 1)[None, :])
-        wxy = W[idx_diff]
+        wy = W[start:stop, None]
+        wxy = rows[start:stop]
         margin = wy + wxy - s * np.minimum(wy, wxy) - W[None, :]
         count += margin.size
         i, j = np.unravel_index(np.argmin(margin), margin.shape)
         val = float(margin[i, j])
         if val < best_margin:
             best_margin = val
-            worst = (float(ts[j]), float(ts[rows[i]]))  # (x, y)
+            worst = (float(ts[j]), float(ts[start + i]))  # (x, y)
 
     if n_random:
         rng = np.random.default_rng(seed)

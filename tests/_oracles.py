@@ -22,6 +22,7 @@ from modspaces.modspace import (
     mod_norm,
     multiply,
 )
+from modspaces.partition import WindowFunction, sigma_eval, sigma_partial
 from modspaces.specialfn import (
     SQRT_2PI,
     _ML1_NODES,
@@ -30,6 +31,7 @@ from modspaces.specialfn import (
     _log_weight,
     gevrey_bump,
 )
+from modspaces.weights import VerificationReport, w_star
 
 mp.mp.dps = 30
 
@@ -157,6 +159,185 @@ def sweep_gevrey_2d_full_box(s: float, radius: int):
         if m < best[0]:
             best = (m, (int(kx[i, 0]), int(ky[i, 0]), int(lx[j]), int(ly[j])))
     return best[0], best[1], count
+
+
+def sweep_loglog_gather(s: float, grid_max: float, step: float, n_random: int,
+                        seed: int, random_max: float):
+    """(min_margin, worst_point, points_checked) of the loglog sweep by index gather.
+
+    Each block of 256 grid rows builds its |y - x| index matrix and
+    gathers W through it, as the package did before it read the rows
+    as windows of a mirrored table.
+    """
+    m = int(round(grid_max / step))
+    ts = np.arange(m + 1) * step
+    W = w_star(ts)
+
+    best_margin = math.inf
+    worst = (0.0, 0.0)
+    count = 0
+    chunk = 256
+    for start in range(0, m + 1, chunk):
+        stop = min(start + chunk, m + 1)
+        rows = np.arange(start, stop)
+        wy = W[rows][:, None]
+        idx_diff = np.abs(rows[:, None] - np.arange(m + 1)[None, :])
+        wxy = W[idx_diff]
+        margin = wy + wxy - s * np.minimum(wy, wxy) - W[None, :]
+        count += margin.size
+        i, j = np.unravel_index(np.argmin(margin), margin.shape)
+        val = float(margin[i, j])
+        if val < best_margin:
+            best_margin = val
+            worst = (float(ts[j]), float(ts[rows[i]]))
+
+    if n_random:
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(0.0, random_max, size=n_random)
+        ys = rng.uniform(0.0, random_max, size=n_random)
+        wy = w_star(ys)
+        wxy = w_star(np.abs(xs - ys))
+        margin = wy + wxy - s * np.minimum(wy, wxy) - w_star(xs)
+        count += margin.size
+        i = int(np.argmin(margin))
+        if float(margin[i]) < best_margin:
+            best_margin = float(margin[i])
+            worst = (float(xs[i]), float(ys[i]))
+
+    return best_margin, worst, count
+
+
+def verify_partition_per_cell(w: WindowFunction, grid=None) -> VerificationReport:
+    """verify_partition with sigma_eval on every point of the grid for every cell.
+
+    The route the package took before it evaluated each axis factor
+    once: 9^n calls of sigma_eval on all m^n points, and the support
+    and inner-cube masks from the inf-distance of every point to k.
+    """
+    n = w.n
+    if grid is None:
+        m = 10_000 if n == 1 else 101
+        axis = np.linspace(-3.2, 3.2, m)
+    else:
+        axis = np.asarray(grid, dtype=float)
+        m = axis.size
+
+    if n == 1:
+        pts = axis[:, None]
+    else:
+        gx, gy = np.meshgrid(axis, axis, indexing="ij")
+        pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+
+    cells_1d = range(-4, 5)
+    if n == 1:
+        cells = [(c,) for c in cells_1d]
+    else:
+        cells = [(a, b) for a in cells_1d for b in cells_1d]
+
+    checks: dict[str, dict] = {}
+
+    sig = {k: sigma_eval(w, k, pts) for k in cells}
+
+    total = np.zeros(pts.shape[:-1])
+    for k in cells:
+        total += sig[k]
+    dev = np.abs(total - 1.0)
+    i = int(np.argmax(dev))
+    checks["sum_to_one"] = {
+        "deviation": float(dev[i]),
+        "threshold": 1e-10,
+        "worst_point": [float(v) for v in pts[i]],
+    }
+
+    range_dev = 0.0
+    range_worst = [0.0] * n
+    supp_dev = 0.0
+    supp_worst = [0.0] * n
+    lower_margin = math.inf
+    lower_worst = [0.0] * n
+    for k in cells:
+        v = sig[k]
+        bad = max(float(np.max(-v)), float(np.max(v - 1.0)), 0.0)
+        if bad > range_dev:
+            range_dev = bad
+            range_worst = [float(x) for x in pts[int(np.argmax(np.maximum(-v, v - 1.0)))]]
+        karr = np.asarray(k, dtype=float)
+        outside = np.max(np.abs(pts - karr), axis=-1) >= 1.0
+        if np.any(outside):
+            leak = float(np.max(np.abs(v[outside])))
+            if leak > supp_dev:
+                supp_dev = leak
+                j = int(np.argmax(np.abs(v * outside)))
+                supp_worst = [float(x) for x in pts[j]]
+        inner = np.max(np.abs(pts - karr), axis=-1) <= 0.5
+        if np.any(inner):
+            mval = float(np.min(v[inner]) - 3.0 ** (-n))
+            if mval < lower_margin:
+                lower_margin = mval
+                j_in = np.where(inner)[0]
+                lower_worst = [float(x) for x in pts[j_in[int(np.argmin(v[inner]))]]]
+
+    checks["range"] = {"deviation": range_dev, "threshold": 0.0, "worst_point": range_worst}
+    checks["support"] = {"deviation": supp_dev, "threshold": 0.0, "worst_point": supp_worst}
+    checks["lower_bound"] = {
+        "deviation": max(0.0, -lower_margin),
+        "threshold": 0.0,
+        "worst_point": lower_worst,
+        "margin": lower_margin,
+    }
+
+    ints_1d = np.arange(-3, 4, dtype=float)
+    if n == 1:
+        ints = ints_1d[:, None]
+    else:
+        ga, gb = np.meshgrid(ints_1d, ints_1d, indexing="ij")
+        ints = np.stack([ga.ravel(), gb.ravel()], axis=-1)
+    delta_dev = 0.0
+    for k in cells:
+        v = sigma_eval(w, k, ints)
+        expect = np.all(ints == np.asarray(k, dtype=float), axis=-1).astype(float)
+        delta_dev = max(delta_dev, float(np.max(np.abs(v - expect))))
+    checks["lattice_delta"] = {"deviation": delta_dev, "threshold": 1e-14}
+
+    rng = np.random.default_rng(900)
+    probe = rng.uniform(-1.0, 1.0, size=(200, n))
+    base = sigma_eval(w, (0,) * n, probe)
+    trans_dev = 0.0
+    for k in [(3,) * n, (-2,) * n, (1,) * n]:
+        shifted = sigma_eval(w, k, probe + np.asarray(k, dtype=float))
+        trans_dev = max(trans_dev, float(np.max(np.abs(shifted - base))))
+    checks["translation"] = {"deviation": trans_dev, "threshold": 1e-14}
+
+    if n == 1:
+        alphas = [(1,), (2,)]
+    else:
+        alphas = [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
+    probe_d = rng.uniform(-0.95, 0.95, size=(40, n))
+    deriv_dev = 0.0
+    for alpha in alphas:
+        base = sigma_partial(w, (0,) * n, probe_d, alpha)
+        for k in [(2,) * n, (-3,) * n]:
+            moved = sigma_partial(w, k, probe_d + np.asarray(k, dtype=float), alpha)
+            deriv_dev = max(deriv_dev, float(np.max(np.abs(moved - base))))
+    checks["deriv_translate"] = {"deviation": deriv_dev, "threshold": 1e-8}
+
+    margins = []
+    for name, c in checks.items():
+        margins.append((c["threshold"] - c["deviation"], name))
+    worst_margin, worst_name = min(margins, key=lambda t: t[0])
+    wp = checks[worst_name].get("worst_point", [0.0] * n)
+
+    return VerificationReport(
+        kind="partition",
+        params={"n": n},
+        domain_description=f"uniform grid of {m} points per axis on [-3.2, 3.2], 9^n cells",
+        points_checked=int(pts.shape[0]),
+        min_margin=float(worst_margin),
+        worst_point=tuple(wp),
+        passed=all(c["deviation"] <= c["threshold"] for c in checks.values()),
+        tolerance=0.0,
+        extra={"checks": checks, "worst_check": worst_name},
+    )
 
 
 def band_ratio_on_grid(R: float, spec, N: int, width: int = 3) -> float:

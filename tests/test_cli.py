@@ -33,8 +33,17 @@ def test_verify_partition_envelope(capsys):
     assert code == 0
     assert doc["command"] == "verify partition --profile quick"
     assert doc["passed"] is True
-    assert set(doc["meta"]) == {"version", "timestamp", "runtime_seconds"}
+    assert set(doc["meta"]) == {"version", "timestamp", "runtime_seconds",
+                                "family_seconds"}
     assert "ok" in err
+
+
+def test_family_seconds_cover_the_families_run(capsys):
+    code, doc, _ = run_cli(capsys, "verify", "all", "--profile", "quick")
+    assert code == 0
+    seconds = doc["meta"]["family_seconds"]
+    assert set(seconds) == set(doc["result"]["families"])
+    assert all(t >= 0.0 and round(t, 3) == t for t in seconds.values())
 
 
 def test_result_payload_is_deterministic(capsys):
@@ -135,6 +144,29 @@ def test_config_is_checked_whole_before_any_family_runs(capsys, tmp_path, comman
     assert doc is None
     assert len(err.strip().splitlines()) == 1
     assert named in err and repr(next(iter(config))) in err
+
+
+@pytest.mark.parametrize("command, config, named", [
+    (("subalgebra", "quick"), {"subalgebra": {"gevrey_R": []}}, "'gevrey_R'"),
+    (("subalgebra", "quick"), {"subalgebra": {"gevrey_R": [4]}}, "'gevrey_R'"),
+    (("subalgebra", "quick"), {"subalgebra": {"gevrey_R": [8, 4]}}, "'gevrey_R'"),
+    (("subalgebra", "full"), {"subalgebra": {"loglog_R": [4]}}, "'loglog_R'"),
+    (("subalgebra", "full"), {"subalgebra": {"loglog_R": [0, 4]}}, "'loglog_R'"),
+    (("algebra", "quick"), {"algebra": {"n_pairs": 0}}, "'n_pairs'"),
+    (("superposition", "quick"), {"superposition": {"n_fixtures": 0}}, "'n_fixtures'"),
+], ids=["gevrey-R-empty", "gevrey-R-one-rung", "gevrey-R-decreasing",
+        "loglog-R-one-rung", "loglog-R-zero", "no-pairs", "no-fixtures"])
+def test_config_value_leaving_nothing_to_test_is_usage_error(capsys, tmp_path,
+                                                             command, config, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    family, profile = command
+    code, doc, err = run_cli(capsys, "--config", str(cfg),
+                             "verify", family, "--profile", profile)
+    assert code == 2
+    assert doc is None
+    assert len(err.strip().splitlines()) == 1
+    assert named in err and repr(family) in err
 
 
 def test_config_valid_keys_are_accepted(capsys, tmp_path):

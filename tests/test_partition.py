@@ -13,6 +13,8 @@ from modspaces.partition import (
     verify_partition,
 )
 
+import _oracles as orc
+
 
 def test_profile_plateau_support_and_evenness():
     xs = np.linspace(-2.0, 2.0, 801)
@@ -169,3 +171,15 @@ def test_verify_partition_2d_passes():
     rep = verify_partition(build_window(2), grid=np.linspace(-3.2, 3.2, 41))
     assert rep.passed
     assert rep.points_checked == 41 * 41
+
+
+_UNEVEN_AXIS = np.concatenate([np.linspace(-3.7, -1.1, 23),
+                               np.geomspace(0.013, 2.9, 31) - 0.4, [1.0, 2.0, 3.5]])
+
+
+@pytest.mark.parametrize("grid", [None, _UNEVEN_AXIS], ids=["default", "uneven"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_verify_partition_matches_per_cell_route(n, grid):
+    # separable axis factors against sigma_eval at every point for every cell
+    got = verify_partition(build_window(n), grid)
+    assert got.to_json() == orc.verify_partition_per_cell(build_window(n), grid).to_json()

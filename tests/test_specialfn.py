@@ -79,7 +79,8 @@ def test_bump_transform_conjugate_symmetry():
     np.testing.assert_allclose(vals_neg, np.conj(vals_pos), atol=1e-14)
 
 
-@pytest.mark.parametrize("mu", [-1.0, -2.0])
+# the bump underflows to 0 at a different number of quadrature nodes for each mu
+@pytest.mark.parametrize("mu", [-0.5, -1.0, -2.0, -3.0])
 def test_bump_transform_negative_xi_is_exact_conjugate(mu):
     xi = np.concatenate([np.linspace(-300.0, 300.0, 601), [0.7, -0.7, -3.3]])
     got = gevrey_bump_ft(mu, xi)
@@ -289,6 +290,24 @@ def test_measure_matches_per_octave_route(name):
         for lam in (0.1, 1.0, 10.0):
             got = measure_L1(regime, density, lam, params)
             assert got == orc.measure_L1_per_octave(regime, density, lam, params)
+
+
+@pytest.mark.parametrize("name", ["gevrey_bump", "up"])
+def test_measure_evaluates_the_ladder_once_per_density(name):
+    density = _ML1_DENSITIES[name]()
+    calls = []
+    log_abs = density.log_abs
+
+    def counted(xi):
+        calls.append(np.size(xi))
+        return log_abs(xi)
+
+    density.log_abs = counted
+    lams = (0.1, 1.0, 10.0)
+    got = [measure_L1("gevrey", density, lam, {"s": 2.0}) for lam in lams]
+    assert len(calls) == 1
+    for lam, res in zip(lams, got):
+        assert res == orc.measure_L1_per_octave("gevrey", density, lam, {"s": 2.0})
 
 
 def test_measure_validation():

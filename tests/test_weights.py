@@ -228,6 +228,27 @@ def test_sweep_gevrey_2d_matches_full_box(s, radius):
     assert rep.points_checked == count == (2 * radius + 1) ** 4
 
 
+@pytest.mark.parametrize("grid_max, step, n_random", [
+    (2000.0, 0.5, 100_000),  # the full campaign's grid
+    (127.5, 0.5, 1000),      # m + 1 = 256 rows, whole row blocks only
+    (50.0, 0.5, 0),          # m + 1 = 101 < 256
+    (3.5, 0.5, 10),          # m + 1 = 8, less than one row block
+    (0.0, 0.5, 10),          # m = 0: a single grid point
+], ids=["campaign", "whole-blocks", "under-256", "under-one-block", "m0"])
+@pytest.mark.parametrize("s", ["admissible", 0.99])
+def test_sweep_loglog_matches_index_gather(s, grid_max, step, n_random):
+    # mirrored-table row windows against the index-gather loop, exactly
+    s = analyze_weight().s_admissible if s == "admissible" else s
+    seed, random_max = 20260814, 1e6
+    rep = verify_weight_inequality(
+        "loglog", {"s": s},
+        {"grid_max": grid_max, "step": step, "n_random": n_random,
+         "seed": seed, "random_max": random_max})
+    margin, worst, count = orc.sweep_loglog_gather(s, grid_max, step, n_random,
+                                                   seed, random_max)
+    assert (rep.min_margin, rep.worst_point, rep.points_checked) == (margin, worst, count)
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize is imported by analyze_weight alone, on first use
     src = os.path.dirname(os.path.dirname(modspaces.__file__))
