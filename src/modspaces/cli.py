@@ -869,7 +869,8 @@ def _config_problem(config) -> str | None:
     Every family in the config is checked, whichever command runs: its
     name, that it maps to an object, each key and value type against
     the profile defaults in _PROFILES, the algebra weight names, the
-    subalgebra ladders' radii and the algebra and superposition counts.
+    subalgebra ladders' radii, the algebra and superposition counts, and
+    that no list is empty.
     """
     if not isinstance(config, dict):
         return "must be a JSON object keyed by family name"
@@ -908,6 +909,11 @@ def _config_problem(config) -> str | None:
         count = config.get(family, {}).get(key)
         if count is not None and count < 1:
             return f"key {key!r} in family {family!r} takes at least 1, not {count}"
+    for family, overrides in sorted(config.items()):
+        for key, value in sorted(overrides.items()):
+            if value == []:
+                return (f"key {key!r} in family {family!r} takes at least "
+                        f"one entry, not []")
     return None
 
 

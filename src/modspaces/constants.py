@@ -5,7 +5,8 @@ Everything here reduces to the upper incomplete gamma kernel
     f_a(t) = integral_t^inf y^(a-1) e^(-y) dy,
 
 its monotone inverse, and a handful of lattice sums.  The kernel and
-its inverse come from scipy.special (gammaincc, gammainccinv); the
+its inverse come from scipy.special (gammaincc, gammainccinv), which
+is imported on the first tail-integral call, not with this module; the
 tests check both against mpmath.  The two
 "regimes" refer to which weight family drives the estimate:
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv
 
 from .weights import analyze_weight, w_star
 
@@ -43,6 +43,10 @@ def upper_incomplete_gamma(alpha: float, t: float) -> float:
     (DiDonato & Morris, ACM TOMS 12, 1986); the tests check it against
     mpmath.  Underflows to 0 where e^(-t) does, near t = 745.
     """
+    # imported here: scipy.special is slow to import and only the
+    # tail constants use it
+    from scipy.special import gammaincc
+
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if t < 0:
@@ -57,6 +61,8 @@ def inverse_g(alpha: float, u: float) -> float:
     g(Gamma(alpha)) = 0 and g(u)/log(1/u) -> 1 as u -> 0.  Computed as
     scipy.special.gammainccinv(alpha, u / Gamma(alpha)).
     """
+    from scipy.special import gammainccinv
+
     if not 0.0 < u <= math.gamma(alpha):
         raise ValueError("u must lie in (0, Gamma(alpha)]")
     if u == math.gamma(alpha):

@@ -11,8 +11,8 @@ Two families drive all superposition examples:
         (2 pi)^(-1/2) e^{-i xi} prod_{j>=1} sinc(2^{-j} xi),
     which decays faster than any polynomial but subexponentially.
 
-On top of them: one-sided decay fits (certificates valid at every
-sampled point), the weighted density integrals feeding the
+On top of them: one-sided decay fits (majorants at the sampled
+points only), the weighted density integrals feeding the
 superposition bounds (log-domain, with a Cauchy convergence flag),
 and the decay-quotient diagnostics.
 """
@@ -119,11 +119,13 @@ def gevrey_bump_ft(mu: float, xi) -> complex | np.ndarray:
 
 
 def gevrey_bump_decay(mu: float, xi_list) -> dict:
-    """One-sided decay certificate |F phi_mu(xi)| <= c exp(-eps |xi|^(1/s)).
+    """Fit diagnostic |F phi_mu(xi)| ~ c exp(-eps |xi|^(1/s)) on the samples.
 
     s = 1 - 1/mu is the theoretical order.  eps is the least-squares
-    slope of -log|F| against |xi|^(1/s); c is then lifted so the bound
-    holds *at every sampled point* (one-sided by construction).
+    slope of -log|F| against |xi|^(1/s); c is then lifted so the fit
+    lies above |F phi_mu| *at every sampled point*.  It is not an upper
+    bound beyond them: for mu = -1 fitted on xi in [5, 200] it falls
+    below |F phi_mu| past xi = 400.
     Samples below the 1e-12 quadrature floor are dropped; raises when
     fewer than 8 usable points remain or the fitted eps is not positive.
     """
@@ -389,7 +391,7 @@ def density_by_name(name: str, **params) -> Density:
     """Registered densities: gevrey_bump(mu), up, rational_decay(k), gaussian(a).
 
     gevrey_bump uses direct quadrature up to |xi| = 200 and its fitted
-    one-sided decay certificate beyond (the quadrature floor sits near
+    one-sided decay envelope beyond (the quadrature floor sits near
     1e-13); up uses the exact factor product; the other two are closed
     forms.
     """

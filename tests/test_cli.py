@@ -134,7 +134,8 @@ def test_config_value_of_wrong_type_is_usage_error(capsys, tmp_path, family,
     (("verify", "constants"), {"superposition": {"typo": 1}}, "'typo'"),
     (("verify", "partition"), {"superposition": {"lambdas": "x"}}, "'lambdas'"),
     (("verify", "constants"), {"algebra": {"weights": ["nope"]}}, "'nope'"),
-], ids=["unknown-key", "wrong-type", "unknown-weight"])
+    (("verify", "constants"), {"corpus": {"bands": []}}, "'bands'"),
+], ids=["unknown-key", "wrong-type", "unknown-weight", "no-bands"])
 def test_config_is_checked_whole_before_any_family_runs(capsys, tmp_path, command,
                                                         config, named):
     cfg = tmp_path / "cfg.json"
@@ -154,8 +155,15 @@ def test_config_is_checked_whole_before_any_family_runs(capsys, tmp_path, comman
     (("subalgebra", "full"), {"subalgebra": {"loglog_R": [0, 4]}}, "'loglog_R'"),
     (("algebra", "quick"), {"algebra": {"n_pairs": 0}}, "'n_pairs'"),
     (("superposition", "quick"), {"superposition": {"n_fixtures": 0}}, "'n_fixtures'"),
+    (("partition", "quick"), {"partition": {"dims": []}}, "'dims'"),
+    (("algebra", "quick"), {"algebra": {"weights": []}}, "'weights'"),
+    (("superposition", "quick"), {"superposition": {"measure_lams": []}},
+     "'measure_lams'"),
+    (("superposition", "quick"), {"superposition": {"lambdas": []}}, "'lambdas'"),
+    (("weights", "quick"), {"weights": {"gevrey_s": []}}, "'gevrey_s'"),
 ], ids=["gevrey-R-empty", "gevrey-R-one-rung", "gevrey-R-decreasing",
-        "loglog-R-one-rung", "loglog-R-zero", "no-pairs", "no-fixtures"])
+        "loglog-R-one-rung", "loglog-R-zero", "no-pairs", "no-fixtures",
+        "no-dims", "no-weights", "no-measure-lams", "no-lambdas", "no-gevrey-s"])
 def test_config_value_leaving_nothing_to_test_is_usage_error(capsys, tmp_path,
                                                              command, config, named):
     cfg = tmp_path / "cfg.json"

@@ -1,12 +1,18 @@
 """Tail-integral kernel, its inverse, and the explicit estimate constants."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modspaces
 from modspaces.constants import (
     choose_R,
     constant_E_R,
@@ -20,6 +26,30 @@ from modspaces.constants import (
 from modspaces.weights import analyze_weight, w_star
 
 import _oracles as orc
+
+
+def test_scipy_special_loads_on_the_first_tail_integral(tmp_path):
+    # importing the package and running norm leave scipy.special unloaded;
+    # the tail integral imports it on first use
+    code = textwrap.dedent(f"""
+        import contextlib, io, json, sys
+        import modspaces, modspaces.cli
+        seen = {{"import": "scipy.special" in sys.modules}}
+        with contextlib.redirect_stdout(io.StringIO()):
+            modspaces.cli.main(["corpus", "generate", "--count", "1",
+                                "--out", {str(tmp_path)!r}])
+            modspaces.cli.main(["norm", {str(tmp_path / "fixture_000.csv")!r},
+                                "--weight", "gevrey:s=2"])
+        seen["norm"] = "scipy.special" in sys.modules
+        modspaces.constants.upper_incomplete_gamma(1.5, 2.0)
+        seen["tail"] = "scipy.special" in sys.modules
+        print(json.dumps(seen))
+    """)
+    src = os.path.dirname(os.path.dirname(modspaces.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert json.loads(out.stdout) == {"import": False, "norm": False, "tail": True}
 
 
 # ----------------------------------------------------------------------
