@@ -131,27 +131,30 @@ def _float_token(v: float):
     return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
 
 
+# the keys each --weight kind takes, with their defaults
+_WEIGHT_KEYS = {"polynomial": {"s": 2.0}, "gevrey": {"s": 2.0},
+                "loglog": {}, "exponential": {"lam": 1.0}}
+
+
 def _parse_weight(text: str) -> WeightSpec:
     """Parse 'kind' or 'kind:key=val,key=val', e.g. 'gevrey:s=2'."""
     kind, _, tail = text.partition(":")
-    kv = {}
+    kind = kind.strip()
+    if kind not in _WEIGHT_KEYS:
+        raise ValueError(f"unknown weight kind {kind!r}; use polynomial, "
+                         "gevrey, loglog or exponential")
+    kv = dict(_WEIGHT_KEYS[kind])
     if tail:
         for item in tail.split(","):
-            key, _, val = item.partition("=")
-            if not _:
+            key, sep, val = item.partition("=")
+            if not sep:
                 raise ValueError(f"bad weight parameter {item!r}")
-            kv[key.strip()] = float(val)
-    kind = kind.strip()
-    if kind == "polynomial":
-        return WeightSpec.polynomial(s=kv.get("s", 2.0))
-    if kind == "gevrey":
-        return WeightSpec.gevrey(s=kv.get("s", 2.0))
-    if kind == "loglog":
-        return WeightSpec.loglog()
-    if kind == "exponential":
-        return WeightSpec.exponential(lam=kv.get("lam", 1.0))
-    raise ValueError(f"unknown weight kind {kind!r}; use polynomial, "
-                     "gevrey, loglog or exponential")
+            key = key.strip()
+            if key not in kv:
+                raise ValueError(f"weight {kind!r} takes no key {key!r}; "
+                                 f"its keys: {', '.join(kv) or 'none'}")
+            kv[key] = float(val)
+    return getattr(WeightSpec, kind)(**kv)
 
 
 def _parse_pq(text: str) -> float:
@@ -311,13 +314,11 @@ def verify_partition_family(profile: str, config: dict) -> tuple[bool, dict]:
     return passed, {"checks": checks}
 
 
-def _algebra_corpus(n_pairs: int, N: int, B: float, base_seed: int = 100):
+def _algebra_corpus(n_pairs: int, N: int, B: float):
     pairs = []
     for i in range(n_pairs):
-        f = synthesize("random_bandlimited", n=1, N=N,
-                       seed=base_seed + 2 * i, B=B)
-        g = synthesize("random_bandlimited", n=1, N=N,
-                       seed=base_seed + 2 * i + 1, B=B)
+        f = synthesize("random_bandlimited", n=1, N=N, seed=100 + 2 * i, B=B)
+        g = synthesize("random_bandlimited", n=1, N=N, seed=101 + 2 * i, B=B)
         pairs.append((f, g))
     return pairs
 

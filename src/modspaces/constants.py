@@ -28,7 +28,6 @@ __all__ = [
     "upper_incomplete_gamma",
     "inverse_g",
     "constant_E_R",
-    "tail_factor",
     "constant_G_RN",
     "constant_c3",
     "constant_c4",
@@ -86,8 +85,9 @@ def constant_E_R(s: float, q: float, n: int, R: float) -> float:
           * f_{s n}(delta q' (R-2)^(1/s)),   delta = 2 - 2^(1/s).
 
     For q = 1 (q' = inf) the l^{q'} aggregation degenerates to a sup
-    and the returned quantity is the sup-form tail exp(-delta (R-2)^(1/s));
-    see tail_factor for the (1/q')-power form.
+    and the returned quantity is the sup-form tail exp(-delta (R-2)^(1/s)).
+    For q > 1 the constant enters the product and superposition bounds
+    as E_R^(1/q').
     """
     if s <= 1.0:
         raise ValueError("gevrey regime requires s > 1")
@@ -101,19 +101,6 @@ def constant_E_R(s: float, q: float, n: int, R: float) -> float:
         return math.exp(-delta * (R - 2.0) ** (1.0 / s))
     pref = 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n) * s * (delta * qp) ** (-s * n)
     return pref * upper_incomplete_gamma(s * n, delta * qp * (R - 2.0) ** (1.0 / s))
-
-
-def tail_factor(s: float, q: float, n: int, R: float) -> float:
-    """Gevrey-regime tail in the form E_R^(1/q').
-
-    This is the shape in which the constant enters the product and
-    superposition bounds; q = 1 returns the sup-form value itself.
-    """
-    qp = _conjugate(q)
-    E = constant_E_R(s, q, n, R)
-    if qp == math.inf:
-        return E
-    return E ** (1.0 / qp)
 
 
 def constant_G_RN(N: int, R: float) -> float:
@@ -183,7 +170,7 @@ def constant_c4(regime: str, n: int, s: float | None = None) -> float:
 def choose_R(regime: str, norm_u: float, params: dict | None = None) -> float:
     """Truncation radius balancing the tail against the norm growth.
 
-    gevrey: solves tail_factor-ratio = norm_u^(1/s - 1), i.e.
+    gevrey: solves
         (f_{sn}(delta q' (R-2)^(1/s)) / Gamma(sn))^(1/q') = norm_u^(1/s-1),
     via the inverse tail integral;
     requires q > 1 so that q' < inf.  params: {"s": >1, "q": >1, "n"}.

@@ -15,18 +15,17 @@ window-sampling error.  "continuum" mode samples sigma_k on the xi_m
 grid for arbitrary L and genuinely exercises the window.
 
 Norms:
-  * lp_norm           Riemann-sum L^p on the grid, p in [1, inf]
-  * mod_norm          weighted l^q over k of L^p norms of the block
-                      operators box_k = inverse FFT of sigma_k * F
+  * mod_norm          weighted l^q over k of Riemann-sum L^p norms of
+                      the blocks box_k f = inverse FFT of sigma_k * F
   * stft_norm         short-time transform norm: inner L^p in the
                       window shift, outer weighted l^q in frequency
 
 Lattice mode is evaluated in closed form: box_k f is the single
 exponential F_k e^{i k.x} (2pi)^(-n/2), so ||box_k f||_p =
 |F_k| (2pi)^(n/2) (2L)^(n/p - n) and the norm is one weighted l^q sum
-over the coefficients.  The per-cell route box_k + lp_norm stays
-public; the tests use it as the independent dual route of the lattice
-closed form.
+over the coefficients.  The per-cell route (box_k, then the L^p norm
+of its samples) lives in tests/_oracles.py, the independent dual route
+of the lattice closed form and of the continuum block norms.
 
 Continuum mode at p = 2 uses discrete Parseval, ||box_k f||_2^2 =
 (pi/L)^n sum_m sigma_k(xi_m)^2 |F_m|^2, for all cells at once; other p
@@ -62,15 +61,12 @@ __all__ = [
     "NormParams",
     "synthesize",
     "from_spectrum",
-    "box_k",
-    "lp_norm",
     "mod_norm",
     "mod_norm_record",
     "stft_norm",
     "multiply",
     "refine",
     "check_algebra_ratio",
-    "estimate_gevrey_constant",
     "save_function",
     "load_function",
 ]
@@ -316,41 +312,6 @@ def _check_mode(f: SampledFunction, mode: str):
         raise ValueError("lattice mode requires L = pi (integer frequency grid)")
 
 
-def box_k(f: SampledFunction, k, mode: str = "lattice") -> SampledFunction:
-    """Block operator: multiply the spectrum by sigma_k and invert.
-
-    lattice mode (L = pi): sigma_k at integer frequencies is the
-    Kronecker delta, so the block is an exact coefficient selection.
-    continuum mode: sigma_k sampled at xi_m = pi*m/L.
-    """
-    _check_mode(f, mode)
-    ks = (int(k),) if np.ndim(k) == 0 else tuple(int(v) for v in k)
-    if len(ks) != f.n:
-        raise ValueError(f"lattice index must have length {f.n}")
-    F = f.spectrum
-    if mode == "lattice":
-        m = f.index_axis()
-        keep = (m == ks[0]) if f.n == 1 else np.outer(m == ks[0], m == ks[1])
-        G = np.where(keep, F, 0.0)
-    elif f.n == 1:
-        G = F * _axis_sigma_rows(f, np.array(ks))[0]
-    else:
-        fac0, fac1 = _axis_sigma_rows(f, np.array(ks))
-        G = F * fac0[:, None] * fac1[None, :]
-    return from_spectrum(f.n, f.L, f.N, G)
-
-
-def lp_norm(f: SampledFunction, p) -> float:
-    """Riemann-sum L^p norm on [-L, L)^n; p = inf gives the max."""
-    a = np.abs(f.values)
-    if p == math.inf:
-        return float(np.max(a))
-    p = float(p)
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return float((f.cell_volume * np.sum(a**p)) ** (1.0 / p))
-
-
 @dataclass
 class NormParams:
     """Which modulation norm to compute.
@@ -368,6 +329,8 @@ class NormParams:
 
     def resolved_k_max(self, f: SampledFunction) -> int:
         km = self.k_max if self.k_max is not None else default_k_max(f)
+        if km < 0:
+            raise ValueError(f"k_max must be >= 0, got {km}")
         limit = math.pi * (f.N // 2) / f.L + 1e-9
         if km > limit:
             raise ValueError(f"k_max {km} exceeds the Nyquist frequency {limit:.6g}")
@@ -716,47 +679,6 @@ def check_algebra_ratio(corpus: Iterable[tuple],
     )
 
 
-def estimate_gevrey_constant(f: SampledFunction, s: float,
-                             alpha_max: int = 12) -> float:
-    """Smallest C with sup|D^a f| <= C^(|a|+1) * (a!)^(s*n) for |a| <= alpha_max.
-
-    Derivatives are spectral: F[D^a f](xi) = (i xi)^a F f(xi).  Returns
-    0 for the zero function.  alpha_max > 20 rejected (the factorial
-    powers overflow double precision soon after).
-    """
-    if alpha_max > 20:
-        raise ValueError("alpha_max > 20 rejected (overflow guard)")
-    F = f.spectrum
-    if not np.any(F):
-        return 0.0
-    phase, scale = _normalization(f.n, f.L, f.N)
-    xi = f.xi_axis()
-    best = 0.0
-    if f.n == 1:
-        alphas = [(a,) for a in range(alpha_max + 1)]
-    else:
-        alphas = [(a, b) for a in range(alpha_max + 1)
-                  for b in range(alpha_max + 1 - a)]
-    for alpha in alphas:
-        if f.n == 1:
-            mult = (1j * xi) ** alpha[0]
-            G = F * mult
-        else:
-            G = F * (1j * xi[:, None]) ** alpha[0] * (1j * xi[None, :]) ** alpha[1]
-        vals = np.fft.ifftn(G * phase / scale)
-        sup = float(np.max(np.abs(vals)))
-        if sup == 0.0:
-            continue
-        fact = 1.0
-        for a in alpha:
-            fact *= math.factorial(a)
-        denom = fact ** (s * f.n)
-        order = sum(alpha)
-        c_alpha = (sup / denom) ** (1.0 / (order + 1))
-        best = max(best, c_alpha)
-    return best
-
-
 # ---------------------------------------------------------------------
 # file format
 # ---------------------------------------------------------------------
@@ -781,8 +703,9 @@ def load_function(path) -> tuple[SampledFunction, dict]:
     """Read the function file; returns (function, header).
 
     Raises ValueError for a header without integer n, N and a numeric
-    L, for a sample index that is out of range or repeated, and for a
-    sample value that is not finite.
+    L, for a sample row that does not parse as "index,re,im" (naming its
+    line), for a sample index that is out of range or repeated, and for
+    a sample value that is not finite.
     """
     with open(path, "r", newline="") as fh:
         header = json.loads(fh.readline())
@@ -794,14 +717,23 @@ def load_function(path) -> tuple[SampledFunction, dict]:
         if not typed:
             raise ValueError("function header needs integer n and N and a number L")
         index, values = [], []
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            i, real, imag = row
-            index.append(int(i))
-            values.append(complex(float(real), float(imag)))
+        rows = csv.reader(fh)
+        try:
+            for row in rows:
+                if not row:
+                    continue
+                i, real, imag = row
+                index.append(int(i))
+                values.append(complex(float(real), float(imag)))
+        except (csv.Error, ValueError) as exc:
+            # line_num counts the body lines read; line 1 is the header
+            raise ValueError(f"line {rows.line_num + 1}: {exc}; "
+                             "a sample row is index,re,im") from None
     size = N if n == 1 else N * N
-    idx = np.array(index, dtype=np.int64)
+    try:
+        idx = np.array(index, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"a sample index is outside [0, {size})") from None
     outside = (idx < 0) | (idx >= size)
     if outside.any():
         raise ValueError(f"sample index {idx[outside][0]} outside [0, {size})")

@@ -32,7 +32,6 @@ from .modspace import (
     NormParams,
     SampledFunction,
     from_spectrum,
-    lp_norm,
     mod_norm,
     mod_norm_record,
     refine,
@@ -43,8 +42,6 @@ from .weights import WeightSpec, w_star, weight_eval
 __all__ = [
     "PhaseSplit",
     "phase_split",
-    "fourier_multiplier",
-    "bernstein_ratio",
     "product_identity_check",
     "exp_minus_one_norm",
     "fit_growth_envelope",
@@ -79,32 +76,8 @@ def _require_inner_exponent(params: NormParams, who: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Fourier multipliers and the orthant/cube phase split
+# the orthant/cube phase split
 # ---------------------------------------------------------------------------
-
-def fourier_multiplier(f: SampledFunction, phi) -> SampledFunction:
-    """Apply the multiplier phi: spectrum -> phi(xi) * spectrum -> samples.
-
-    phi receives one frequency array per coordinate (a single 1-d array
-    in dimension one, two broadcastable axes in dimension two) and must
-    return the symbol values; smooth symbols and sharp indicators are
-    both fine on the discrete spectrum.
-    """
-    xi = f.xi_axis()
-    if f.n == 1:
-        sym = np.asarray(phi(xi), dtype=np.complex128)
-    else:
-        sym = np.asarray(phi(xi[:, None], xi[None, :]), dtype=np.complex128)
-    return from_spectrum(f.n, f.L, f.N, sym * f.spectrum)
-
-
-def bernstein_ratio(f: SampledFunction, phi, r) -> float:
-    """||multiplier(phi) f||_r / ||f||_r; finite for nonzero f."""
-    denom = lp_norm(f, r)
-    if denom == 0.0:
-        raise ValueError("bernstein_ratio needs a nonzero function")
-    return lp_norm(fourier_multiplier(f, phi), r) / denom
-
 
 @dataclass(frozen=True)
 class PhaseSplit:

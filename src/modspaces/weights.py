@@ -35,7 +35,6 @@ __all__ = [
     "SHIFT",
     "bracket_star",
     "w_star",
-    "aux_p_q",
     "WeightAnalysis",
     "analyze_weight",
     "WeightSpec",
@@ -87,29 +86,12 @@ def w_star(t, order: int = 0):
     return float(out) if out.ndim == 0 else out
 
 
-def aux_p_q(t):
-    """Auxiliary ratios p(t) = t*w'(t)/w(t) and q(t) = t/w(t).
-
-    p stays strictly below 1 (its sup is the critical constant p0) and
-    q is strictly increasing.  t must be positive.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
-        raise ValueError("aux_p_q requires t > 0")
-    w0 = w_star(t_arr)
-    p = t_arr * w_star(t_arr, 1) / w0
-    q = t_arr / w0
-    if np.ndim(t) == 0:
-        return float(p), float(q)
-    return p, q
-
-
 @dataclass(frozen=True)
 class WeightAnalysis:
     """Critical constants of the slowly varying profile.
 
     t0: unique root of w'' (w' increases before it, decreases after).
-    p0: sup of p(t) over t > 0.
+    p0: sup of p(t) = t w'(t) / w(t) over t > 0 (p stays below 1).
     s_admissible: 1 - p0, the largest subtraction factor for which the
         subadditivity sweep stays nonnegative.
     deriv_sup: max of w', attained at t0.

@@ -17,6 +17,9 @@ import numpy as np
 
 from modspaces.modspace import (
     NormParams,
+    SampledFunction,
+    _axis_sigma_rows,
+    _check_mode,
     _normalization,
     from_spectrum,
     mod_norm,
@@ -112,6 +115,19 @@ def gaussian_transform(a, xi) -> mp.mpf:
     return mp.exp(-xi * xi / (4 * a)) / mp.sqrt(2 * a)
 
 
+def up_transform(xi, factors: int = 200) -> mp.mpc:
+    """(2 pi)^(-1/2) e^{-i xi} prod_{j=1..factors} sinc(2^{-j} xi), in mpmath.
+
+    Past j ~ log2|xi| + 27 each factor is 1 to within 1e-16 relative, so
+    200 factors reach the infinite product for every |xi| <= 1e30.
+    """
+    xi = mp.mpf(xi)
+    prod = mp.mpf(1)
+    for j in range(1, factors + 1):
+        prod *= mp.sinc(xi / mp.mpf(2) ** j)
+    return prod * mp.expj(-xi) / mp.sqrt(2 * mp.pi)
+
+
 def bump_transform(mu, xi, dps: int = 30) -> mp.mpc:
     """(2 pi)^(-1/2) int_0^1 exp(-(1-t)^mu - t^mu) e^{-i t xi} dt."""
     mu, xi = mp.mpf(mu), mp.mpf(xi)
@@ -127,6 +143,45 @@ def bump_transform(mu, xi, dps: int = 30) -> mp.mpc:
 # ----------------------------------------------------------------------
 # former production routes, kept as dual routes
 # ----------------------------------------------------------------------
+
+# the per-cell block route: one block operator and one Riemann-sum L^p
+# norm per lattice cell, the dual route of the lattice closed form and
+# of the batched continuum block norms
+
+def box_k(f: SampledFunction, k, mode: str = "lattice") -> SampledFunction:
+    """Block operator: multiply the spectrum by sigma_k and invert.
+
+    lattice mode (L = pi): sigma_k at integer frequencies is the
+    Kronecker delta, so the block is an exact coefficient selection.
+    continuum mode: sigma_k sampled at xi_m = pi*m/L.
+    """
+    _check_mode(f, mode)
+    ks = (int(k),) if np.ndim(k) == 0 else tuple(int(v) for v in k)
+    if len(ks) != f.n:
+        raise ValueError(f"lattice index must have length {f.n}")
+    F = f.spectrum
+    if mode == "lattice":
+        m = f.index_axis()
+        keep = (m == ks[0]) if f.n == 1 else np.outer(m == ks[0], m == ks[1])
+        G = np.where(keep, F, 0.0)
+    elif f.n == 1:
+        G = F * _axis_sigma_rows(f, np.array(ks))[0]
+    else:
+        fac0, fac1 = _axis_sigma_rows(f, np.array(ks))
+        G = F * fac0[:, None] * fac1[None, :]
+    return from_spectrum(f.n, f.L, f.N, G)
+
+
+def lp_norm(f: SampledFunction, p) -> float:
+    """Riemann-sum L^p norm on [-L, L)^n; p = inf gives the max."""
+    a = np.abs(f.values)
+    if p == math.inf:
+        return float(np.max(a))
+    p = float(p)
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    return float((f.cell_volume * np.sum(a**p)) ** (1.0 / p))
+
 
 def sweep_gevrey_2d_full_box(s: float, radius: int):
     """(min_margin, worst_point, points_checked) over the full 2-d box.

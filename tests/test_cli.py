@@ -1,13 +1,19 @@
 """Command-line interface: JSON envelope, exit codes, files, determinism."""
 
+import io
 import json
 import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modspaces.cli import main
-from modspaces.modspace import SampledFunction, save_function
+from modspaces.modspace import SampledFunction, load_function, save_function
 
 
 def run_cli(capsys, *argv):
@@ -284,10 +290,11 @@ _GOOD_HEADER = {"n": 1, "L": math.pi, "N": 4}
     (_GOOD_HEADER, [0, 1, 1, 3]),                         # duplicate index
     (_GOOD_HEADER, [0, 1, 2, -1]),                        # negative index
     (_GOOD_HEADER, [0, 1, 2, 4]),                         # index >= size
+    (_GOOD_HEADER, [0, 1, 2, 2**64]),                     # beyond int64
     ({"n": 1, "L": math.pi}, [0, 1, 2, 3]),               # missing N
     ({"n": 1, "L": math.pi, "N": None}, [0, 1, 2, 3]),    # mistyped N
     ({"n": 1, "L": math.pi, "N": 4.5}, [0, 1, 2, 3]),     # non-integer N
-], ids=["duplicate", "negative", "beyond-size", "missing-N", "null-N", "fractional-N"])
+], ids=["duplicate", "negative", "beyond-size", "beyond-int64", "missing-N", "null-N", "fractional-N"])
 def test_norm_rejects_malformed_function_file(capsys, tmp_path, header, indices):
     path = tmp_path / "bad.csv"
     rows = "".join(f"{i},1.0,0.0\n" for i in indices)
@@ -296,6 +303,81 @@ def test_norm_rejects_malformed_function_file(capsys, tmp_path, header, indices)
     assert code == 2
     assert doc is None
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("body, line", [
+    ("0,1.0,0.0\n1,1.0,0.0\n2," + "1" * 200_000 + ",0.0\n3,1.0,0.0\n", 4),
+    ("0,1.0,0.0\n1,1.0\n2,1.0,0.0\n3,1.0,0.0\n", 3),
+    ("0,1.0,0.0\n1,1.0,0.0,7\n2,1.0,0.0\n3,1.0,0.0\n", 3),
+], ids=["field-beyond-csv-limit", "short-row", "long-row"])
+def test_norm_names_the_line_of_an_unreadable_row(capsys, tmp_path, body, line):
+    # A field past the csv module's 131072-character limit raised
+    # csv.Error with a traceback; a row of the wrong width gave a bare
+    # "not enough values to unpack".
+    path = tmp_path / "bad.csv"
+    path.write_text(json.dumps(_GOOD_HEADER) + "\n" + body)
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        load_function(path)
+    code, doc, err = run_cli(capsys, "norm", str(path))
+    assert code == 2
+    assert doc is None
+    assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+
+
+_BODY_LINE = st.one_of(
+    st.text(max_size=40),
+    st.builds("{},{!r},{!r}".format,
+              st.one_of(st.integers(0, 3), st.integers()), st.floats(), st.floats()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_BODY_LINE, max_size=6))
+def test_norm_fuzzed_function_body_is_a_result_or_a_usage_error(lines):
+    # Any text after a valid header: load_function returns or raises
+    # ValueError, and `modspaces norm` exits 0, 1 or 2 without raising.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(json.dumps(_GOOD_HEADER) + "\n" + "\n".join(lines) + "\n")
+        try:
+            load_function(path)
+        except ValueError:
+            pass
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["norm", path])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_norm_rejects_negative_k_max(capsys, tmp_path):
+    # --k-max -1 printed "value": 0.0 and "passed": true with exit 0.
+    f = SampledFunction(1, math.pi, 32, np.ones(32, dtype=complex))
+    save_function(f, tmp_path / "one.csv")
+    code, doc, err = run_cli(capsys, "norm", str(tmp_path / "one.csv"), "--k-max", "-1")
+    assert code == 2
+    assert doc is None
+    assert err == "error: k_max must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("weight, key, keys", [
+    ("loglog:s=3", "s", "none"),
+    ("polynomial:t=2", "t", "s"),
+    ("gevrey:lam=1", "lam", "s"),
+    ("exponential:s=2", "s", "lam"),
+])
+def test_norm_rejects_a_weight_key_the_kind_does_not_take(capsys, tmp_path, weight, key, keys):
+    # Keys the kind does not take were dropped, and the norm ran with
+    # the defaults.
+    f = SampledFunction(1, math.pi, 32, np.ones(32, dtype=complex))
+    save_function(f, tmp_path / "one.csv")
+    code, doc, err = run_cli(capsys, "norm", str(tmp_path / "one.csv"), "--weight", weight)
+    assert code == 2
+    assert doc is None
+    kind = weight.partition(":")[0]
+    assert err == f"error: weight {kind!r} takes no key {key!r}; its keys: {keys}\n"
 
 
 @pytest.mark.parametrize("L", [0.0, -math.pi, math.inf, math.nan])

@@ -20,7 +20,6 @@ from modspaces.constants import (
     constant_c3,
     constant_c4,
     inverse_g,
-    tail_factor,
     upper_incomplete_gamma,
 )
 from modspaces.weights import analyze_weight, w_star
@@ -144,7 +143,6 @@ def test_tail_constant_closed_form_q1():
     delta = 2.0 - math.sqrt(2.0)
     expect = math.exp(-delta * math.sqrt(R - 2.0))
     assert constant_E_R(s, 1.0, 1, R) == pytest.approx(expect, rel=1e-12)
-    assert tail_factor(s, 1.0, 1, R) == pytest.approx(expect, rel=1e-12)
 
 
 def test_tail_constant_prefactor_q2():
@@ -153,7 +151,6 @@ def test_tail_constant_prefactor_q2():
     pref = 2.0 * math.pi ** 0.5 / math.gamma(0.5) * s * (2.0 * delta) ** (-2.0)
     expect = pref * float(orc.tail_integral(2.0, 2.0 * delta * (R - 2.0) ** 0.5))
     assert constant_E_R(s, q, n, R) == pytest.approx(expect, rel=1e-10)
-    assert tail_factor(s, q, n, R) == pytest.approx(constant_E_R(s, q, n, R) ** 0.5, rel=1e-12)
 
 
 def test_tail_constant_monotone_in_R():

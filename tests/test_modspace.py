@@ -13,13 +13,10 @@ from modspaces.modspace import (
     NormParams,
     SampledFunction,
     TruncationWarning,
-    box_k,
     check_algebra_ratio,
     default_k_max,
-    estimate_gevrey_constant,
     from_spectrum,
     load_function,
-    lp_norm,
     mod_norm,
     mod_norm_record,
     multiply,
@@ -126,7 +123,7 @@ def test_random_bandlimited_seed_determinism():
 
 def test_box_k_lattice_selects_exactly():
     f = synthesize("random_bandlimited", B=5.0, N=64, seed=2)
-    g = box_k(f, 3)
+    g = orc.box_k(f, 3)
     idx = f.index_axis()
     expect = np.where(idx == 3, f.spectrum, 0.0)
     np.testing.assert_allclose(g.spectrum, expect, atol=1e-12)
@@ -136,7 +133,7 @@ def test_box_sum_reconstructs():
     f = synthesize("random_bandlimited", B=5.0, N=64, seed=3)
     total = np.zeros_like(f.values)
     for k in range(-6, 7):
-        total = total + box_k(f, k).values
+        total = total + orc.box_k(f, k).values
     np.testing.assert_allclose(total, f.values, atol=1e-10)
 
 
@@ -144,7 +141,7 @@ def test_box_sum_reconstructs_continuum():
     f = synthesize("gaussian", a=1.0, L=8.0, N=256)
     total = np.zeros_like(f.values)
     for k in range(-12, 13):
-        total = total + box_k(f, k, mode="continuum").values
+        total = total + orc.box_k(f, k, mode="continuum").values
     np.testing.assert_allclose(total, f.values, atol=1e-9)
 
 
@@ -163,9 +160,9 @@ def test_axis_sigma_rows_banded_equal_dense(L):
 def test_box_mode_validation():
     f = synthesize("gaussian", a=1.0, L=2.0, N=32)
     with pytest.raises(ValueError):
-        box_k(f, 0, mode="lattice")  # L != pi
+        orc.box_k(f, 0, mode="lattice")  # L != pi
     with pytest.raises(ValueError):
-        box_k(f, 0, mode="windowed")
+        orc.box_k(f, 0, mode="windowed")
 
 
 # ----------------------------------------------------------------------
@@ -174,10 +171,10 @@ def test_box_mode_validation():
 
 def test_lp_norm_gaussian_against_oracle():
     f = synthesize("gaussian", a=1.0, L=10.0, N=512)
-    assert lp_norm(f, 2) == pytest.approx(float(orc.gaussian_l2_norm(1.0)), rel=1e-10)
-    assert lp_norm(f, math.inf) == pytest.approx(1.0, rel=1e-12)
+    assert orc.lp_norm(f, 2) == pytest.approx(float(orc.gaussian_l2_norm(1.0)), rel=1e-10)
+    assert orc.lp_norm(f, math.inf) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
-        lp_norm(f, 0.5)
+        orc.lp_norm(f, 0.5)
 
 
 def test_mod_norm_single_mode_closed_form():
@@ -212,7 +209,7 @@ def _block_route(f, p):
     half = f.N // 2
     side = range(-half, half + 1)
     cells = [(k,) for k in side] if f.n == 1 else [(a, b) for a in side for b in side]
-    blocks = [(c, lp_norm(box_k(f, c), p)) for c in cells]
+    blocks = [(c, orc.lp_norm(orc.box_k(f, c), p)) for c in cells]
     return [(c, blk) for c, blk in blocks if blk != 0.0]
 
 
@@ -227,8 +224,8 @@ def _weighted_lq(blocks, weight, q):
 @pytest.mark.parametrize("n,N", [(1, 256), (2, 32)])
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
 def test_mod_norm_lattice_matches_block_route(n, N, p):
-    # The lattice norm is a closed form in the coefficients; box_k +
-    # lp_norm inverts each block separately, the independent route.
+    # The lattice norm is a closed form in the coefficients; the oracle's
+    # box_k + lp_norm inverts each block separately, the independent route.
     # Random samples give a recomputed spectrum with every mode nonzero.
     rng = np.random.default_rng(70 + n)
     shape = (N,) if n == 1 else (N, N)
@@ -344,7 +341,7 @@ def test_continuum_ifft_blocks_match_box_route(p):
         k_max = default_k_max(f)
         cells, blocks = modspace._ifft_block_norms(f, k_max, p)
         assert len(cells) == (2 * k_max + 1) ** n
-        expect = [lp_norm(box_k(f, tuple(k), mode="continuum"), p) for k in cells]
+        expect = [orc.lp_norm(orc.box_k(f, tuple(k), mode="continuum"), p) for k in cells]
         np.testing.assert_allclose(blocks, expect, rtol=1e-12)
 
 
@@ -595,19 +592,6 @@ def test_check_algebra_ratio_corpus():
     assert len(rep.extra["ratios"]) == 4
     assert all(math.isfinite(r) for r in rep.extra["ratios"])
     assert rep.extra["rel_change"] < 0.05
-
-
-def test_estimate_gevrey_constant_mode_closed_form():
-    k, s = 4, 1.5
-    f = synthesize("mode", k=k, N=128)
-    got = estimate_gevrey_constant(f, s, alpha_max=10)
-    expect = max(
-        (k ** a / math.factorial(a) ** s) ** (1.0 / (a + 1)) for a in range(11)
-    )
-    assert got == pytest.approx(expect, rel=1e-9)
-    assert estimate_gevrey_constant(f.copy_with(0 * f.values), s) == 0.0
-    with pytest.raises(ValueError):
-        estimate_gevrey_constant(f, s, alpha_max=25)
 
 
 # ----------------------------------------------------------------------

@@ -111,13 +111,15 @@ def test_bump_decay_floor_guard():
 # ----------------------------------------------------------------------
 
 def test_up_transform_value_at_zero_and_error_bound():
-    val, err = up_fourier(0.0, with_error=True)
-    assert val == pytest.approx(1.0 / SQRT_2PI, rel=1e-14)
-    assert err >= 0.0
-    coarse = up_fourier(40.0, J=25)
-    fine = up_fourier(40.0, J=80)
-    _, bound = up_fourier(40.0, J=25, with_error=True)
-    assert abs(coarse - fine) <= max(bound * abs(fine), 1e-15)
+    # The truncated product is within 2.3e-17 relative of the infinite
+    # one; against 200 factors in mpmath only round-off remains.
+    assert up_fourier(0.0) == 1.0 / SQRT_2PI
+    xs = [0.0, 40.0, 1e3, 1e6]
+    vec = up_fourier(np.array(xs))
+    for xi, v in zip(xs, vec):
+        exact = complex(orc.up_transform(xi))
+        assert abs(up_fourier(xi) - exact) <= 1e-13 * abs(exact)
+        assert abs(v - exact) <= 1e-13 * abs(exact)
 
 
 def test_up_transform_matches_grid_quadrature():

@@ -16,7 +16,6 @@ from modspaces.weights import (
     SHIFT,
     WeightSpec,
     analyze_weight,
-    aux_p_q,
     bracket_star,
     log_weight_eval,
     verify_weight_inequality,
@@ -63,20 +62,6 @@ def test_w_star_bad_order():
         w_star(1.0, order=3)
 
 
-def test_aux_p_q_matches_oracle():
-    for t in (0.5, 2.0, 16.445, 250.0, 1e5):
-        p, q = aux_p_q(t)
-        assert p == pytest.approx(float(orc.p_aux(t)), rel=1e-10)
-        assert q == pytest.approx(t / float(orc.w_profile(t)), rel=1e-12)
-
-
-def test_aux_p_q_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        aux_p_q(0.0)
-    with pytest.raises(ValueError):
-        aux_p_q(np.array([1.0, -2.0]))
-
-
 # ----------------------------------------------------------------------
 # critical constants
 # ----------------------------------------------------------------------
@@ -103,7 +88,7 @@ def test_analysis_internal_identities():
     assert ana.s_admissible == pytest.approx(1.0 - ana.p0, rel=0, abs=0)
     # no coarse grid point beats the reported sup
     grid = np.logspace(-3, 6, 4000)
-    p, _ = aux_p_q(grid)
+    p = grid * w_star(grid, 1) / w_star(grid)
     assert p.max() <= ana.p0 + 1e-12
 
 
