@@ -157,15 +157,6 @@ def _parse_weight(text: str) -> WeightSpec:
     return getattr(WeightSpec, kind)(**kv)
 
 
-def _parse_pq(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    v = float(text)
-    if v < 1.0:
-        raise ValueError("exponents must be >= 1")
-    return v
-
-
 def _check(kind: str, passed: bool, margin: float, detail: dict) -> dict:
     return {"kind": kind, "passed": bool(passed),
             "min_margin": float(margin), **detail}
@@ -253,7 +244,7 @@ def _family_settings(profile: str, config: dict, family: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def verify_weights(profile: str, config: dict) -> tuple[bool, dict]:
+def verify_weights(profile: str, config: dict) -> dict:
     st = _family_settings(profile, config, "weights")
 
     ana = analyze_weight()
@@ -298,11 +289,10 @@ def verify_weights(profile: str, config: dict) -> tuple[bool, dict]:
     checks.append(verify_weight_inequality(
         "elementary", {}, {"n_points": st["elementary_points"]}).to_dict())
 
-    passed = all(c["passed"] for c in checks)
-    return passed, {"analysis": analysis, "checks": checks}
+    return {"analysis": analysis, "checks": checks}
 
 
-def verify_partition_family(profile: str, config: dict) -> tuple[bool, dict]:
+def verify_partition_family(profile: str, config: dict) -> dict:
     st = _family_settings(profile, config, "partition")
     checks = []
     for n in st["dims"]:
@@ -310,8 +300,7 @@ def verify_partition_family(profile: str, config: dict) -> tuple[bool, dict]:
         d = rep.to_dict()
         d["kind"] = f"partition_n{n}"
         checks.append(d)
-    passed = all(c["passed"] for c in checks)
-    return passed, {"checks": checks}
+    return {"checks": checks}
 
 
 def _algebra_corpus(n_pairs: int, N: int, B: float):
@@ -323,7 +312,7 @@ def _algebra_corpus(n_pairs: int, N: int, B: float):
     return pairs
 
 
-def verify_algebra(profile: str, config: dict) -> tuple[bool, dict]:
+def verify_algebra(profile: str, config: dict) -> dict:
     st = _family_settings(profile, config, "algebra")
     pairs = _algebra_corpus(st["n_pairs"], st["N"], st["B"])
     checks = []
@@ -335,11 +324,10 @@ def verify_algebra(profile: str, config: dict) -> tuple[bool, dict]:
         d["kind"] = f"algebra_ratio_{name}"
         d.get("extra", {}).pop("ratios", None)  # keep reports compact
         checks.append(d)
-    passed = all(c["passed"] for c in checks)
-    return passed, {"checks": checks}
+    return {"checks": checks}
 
 
-def verify_subalgebra(profile: str, config: dict) -> tuple[bool, dict]:
+def verify_subalgebra(profile: str, config: dict) -> dict:
     st = _family_settings(profile, config, "subalgebra")
     checks = []
 
@@ -371,11 +359,10 @@ def verify_subalgebra(profile: str, config: dict) -> tuple[bool, dict]:
             {"R": Rs2, "ratio": rs2, "end_to_end_decay": rs2[0] / rs2[-1],
              "required_end_to_end": Rs2[-1] / Rs2[0]}))
 
-    passed = all(c["passed"] for c in checks)
-    return passed, {"checks": checks}
+    return {"checks": checks}
 
 
-def verify_superposition(profile: str, config: dict) -> tuple[bool, dict]:
+def verify_superposition(profile: str, config: dict) -> dict:
     st = _family_settings(profile, config, "superposition")
     checks = []
     wspec = WeightSpec.gevrey(s=2.0)
@@ -453,11 +440,10 @@ def verify_superposition(profile: str, config: dict) -> tuple[bool, dict]:
     checks.append(_check("density_integrability", ok,
                          1.0 if ok else -1.0, {"flags": finite_flags}))
 
-    passed = all(c["passed"] for c in checks)
-    return passed, {"checks": checks}
+    return {"checks": checks}
 
 
-def verify_constants(profile: str, config: dict) -> tuple[bool, dict]:
+def verify_constants(profile: str, config: dict) -> dict:
     checks = []
 
     # tail integral versus its recurrence and the closed forms
@@ -526,8 +512,7 @@ def verify_constants(profile: str, config: dict) -> tuple[bool, dict]:
         {"E_R_gevrey": ER, "c3_gevrey": c3g, "c3_loglog": c3l,
          "c4_gevrey": c4g, "c4_loglog": c4l}))
 
-    passed = all(c["passed"] for c in checks)
-    return passed, {"checks": checks}
+    return {"checks": checks}
 
 
 _FAMILIES = {
@@ -547,10 +532,10 @@ def cmd_verify(args, config: dict) -> int:
     all_passed = True
     for fam in families:
         t0 = time.time()
-        passed, result = _FAMILIES[fam](args.profile, config)
+        result = _FAMILIES[fam](args.profile, config)
         seconds[fam] = time.time() - t0
-        results[fam] = result
-        results[fam]["passed"] = passed
+        passed = all(c["passed"] for c in result["checks"])
+        results[fam] = {**result, "passed": passed}
         all_passed = all_passed and passed
         _say(f"{'ok' if passed else 'FAIL'}: verify {fam} "
              f"({seconds[fam]:.1f}s)")
@@ -569,7 +554,7 @@ def cmd_norm(args, config: dict) -> int:
     started = time.time()
     f, header = load_function(args.file)
     weight = _parse_weight(args.weight)
-    params = NormParams(p=_parse_pq(args.p), q=_parse_pq(args.q),
+    params = NormParams(p=float(args.p), q=float(args.q),
                         weight=weight, mode=args.mode,
                         k_max=args.k_max)
     rec = mod_norm_record(f, params)

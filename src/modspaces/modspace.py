@@ -36,6 +36,11 @@ norm at p = 2 uses the correlation identity: the sum over shifts of
 |V(x, xi_m)|^2 is a direct circular sum of |F|^2 against the window's
 |spectrum|^2; other p run one transform per shift, the dual route.
 
+Grids are tensor products: 1-d and 2-d arrays are built by one path
+(partition._outer, partition._points) with no branch on n.  Only cost
+choices still fork by dimension: _cell_sums, _ifft_block_norms,
+_stft_parseval_inner, and stft_norm's cost guard and shift chunks.
+
 Both norms accept p = inf / q = inf (suprema).  Truncation of the k
 sum is explicit: spectral mass outside |xi|_inf <= k_max - 1 beyond
 1e-9 (relative) raises a TruncationWarning.
@@ -44,6 +49,7 @@ sum is explicit: spectral mass outside |xi|_inf <= k_max - 1 beyond
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -52,7 +58,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .partition import _sigma_axis
+from .partition import _outer, _points, _sigma_axis
 from .weights import VerificationReport, WeightSpec, weight_eval
 
 __all__ = [
@@ -103,7 +109,7 @@ class SampledFunction:
         if not _is_pow2(self.N):
             raise ValueError("N must be a power of two >= 2")
         vals = np.asarray(self.values, dtype=np.complex128)
-        expect = (self.N,) if self.n == 1 else (self.N, self.N)
+        expect = (self.N,) * self.n
         if vals.shape != expect:
             raise ValueError(f"values shape {vals.shape} != {expect}")
         object.__setattr__(self, "values", vals)
@@ -150,9 +156,7 @@ def _normalization(n: int, L: float, N: int) -> tuple[np.ndarray, float]:
     shift to the grid origin -L); scale is (2L/N)^n * (2pi)^(-n/2).
     """
     m = np.fft.fftfreq(N, d=1.0 / N).astype(np.int64)
-    phase = np.where(m % 2 == 0, 1.0, -1.0)
-    if n == 2:
-        phase = phase[:, None] * phase[None, :]
+    phase = _outer(np.multiply, [np.where(m % 2 == 0, 1.0, -1.0)] * n)
     return phase, (2.0 * L / N) ** n * (2.0 * math.pi) ** (-0.5 * n)
 
 
@@ -201,10 +205,7 @@ def synthesize(kind: str, *, n: int = 1, L: float = math.pi, N: int = 256,
             if abs(ratio) >= N // 2:
                 raise ValueError(f"mode {ki} is beyond the Nyquist index for N={N}")
         axis = -L + (2.0 * L / N) * np.arange(N)
-        if n == 1:
-            vals = c * np.exp(1j * ks[0] * axis)
-        else:
-            vals = c * np.exp(1j * (ks[0] * axis[:, None] + ks[1] * axis[None, :]))
+        vals = c * np.exp(_outer(np.add, [1j * ki * axis for ki in ks]))
         return SampledFunction(n, L, N, vals)
 
     if kind == "gaussian":
@@ -212,11 +213,7 @@ def synthesize(kind: str, *, n: int = 1, L: float = math.pi, N: int = 256,
         if a <= 0:
             raise ValueError("gaussian rate must be positive")
         axis = -L + (2.0 * L / N) * np.arange(N)
-        if n == 1:
-            vals = np.exp(-a * axis * axis)
-        else:
-            r2 = axis[:, None] ** 2 + axis[None, :] ** 2
-            vals = np.exp(-a * r2)
+        vals = _outer(np.multiply, [np.exp(-a * axis * axis)] * n)
         return SampledFunction(n, L, N, vals.astype(np.complex128))
 
     if kind == "random_bandlimited":
@@ -228,33 +225,19 @@ def synthesize(kind: str, *, n: int = 1, L: float = math.pi, N: int = 256,
         if seed is None:
             raise ValueError("random_bandlimited requires a seed")
         rng = np.random.default_rng(seed)
-        idx = np.fft.fftfreq(N, d=1.0 / N).astype(np.int64)
-        shape = (N,) if n == 1 else (N, N)
-        coeffs = np.zeros(shape, dtype=np.complex128)
         m_band = int(math.floor(B * L / math.pi))
-        modes: list[tuple] = []
-        if n == 1:
-            for m in range(-m_band, m_band + 1):
-                if (math.pi * abs(m) / L) <= B + 1e-12:
-                    modes.append((m,))
-        else:
-            for m1 in range(-m_band, m_band + 1):
-                for m2 in range(-m_band, m_band + 1):
-                    if math.pi * math.hypot(m1, m2) / L <= B + 1e-12:
-                        modes.append((m1, m2))
-        modes.sort()
-        draws = rng.standard_normal((len(modes), 2))
-        assign = {m: complex(d[0], d[1]) for m, d in zip(modes, draws)}
+        modes = _points(np.arange(-m_band, m_band + 1), n)
+        # sqrt of the exact integer |m|^2 is math.hypot's float bit for bit
+        modes = modes[math.pi * np.sqrt(np.sum(modes * modes, axis=1)) / L <= B + 1e-12]
+        draws = rng.standard_normal((len(modes), 2)).view(np.complex128)[:, 0]
         if real:
-            for m in modes:
-                neg = tuple(-v for v in m)
-                if m == neg:
-                    assign[m] = complex(assign[m].real, 0.0)
-                elif m > neg:
-                    assign[m] = assign[neg].conjugate()
-        for m, cval in assign.items():
-            pos = tuple(v % N for v in m)
-            coeffs[pos] = cval
+            # the modes are sorted and closed under m -> -m, so row i's
+            # mirror is row M-1-i and the middle row is m = 0
+            h = len(modes) // 2
+            draws[h + 1 :] = draws[:h][::-1].conj()
+            draws[h : h + 1] = draws[h : h + 1].real
+        coeffs = np.zeros((N,) * n, dtype=np.complex128)
+        coeffs[tuple((modes % N).T)] = draws
         return from_spectrum(n, L, N, coeffs)
 
     raise ValueError(f"unknown synthesis kind {kind!r}")
@@ -327,6 +310,10 @@ class NormParams:
     mode: str = "lattice"
     k_max: int | None = None
 
+    def __post_init__(self):
+        if not (1 <= self.p <= math.inf and 1 <= self.q <= math.inf):
+            raise ValueError(f"p and q must lie in [1, inf], got p = {self.p}, q = {self.q}")
+
     def resolved_k_max(self, f: SampledFunction) -> int:
         km = self.k_max if self.k_max is not None else default_k_max(f)
         if km < 0:
@@ -354,25 +341,12 @@ def _tail_fraction(f: SampledFunction, k_max: int) -> float:
     """Relative spectral L2 mass outside |xi|_inf <= k_max - 1."""
     F = f.spectrum
     xi = f.xi_axis()
-    inside_axis = np.abs(xi) <= (k_max - 1) + 1e-12
-    if f.n == 1:
-        inside = inside_axis
-    else:
-        inside = inside_axis[:, None] & inside_axis[None, :]
+    inside = _outer(np.logical_and, [np.abs(xi) <= (k_max - 1) + 1e-12] * f.n)
     total = float(np.sum(np.abs(F) ** 2))
     if total == 0.0:
         return 0.0
     out = float(np.sum(np.abs(F[~inside]) ** 2))
     return out / total
-
-
-def _k_cells(n: int, lo: int, hi: int) -> np.ndarray:
-    """Lattice points of the box [lo, hi]^n as (M, n) rows in sorted order."""
-    side = np.arange(lo, hi + 1)
-    if n == 1:
-        return side[:, None]
-    a, b = np.meshgrid(side, side, indexing="ij")
-    return np.stack([a.ravel(), b.ravel()], axis=-1)
 
 
 def _lattice_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarray, np.ndarray]:
@@ -383,7 +357,7 @@ def _lattice_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarray,
     over the grid's storage range [-N/2, N/2 - 1]; exactly-zero
     coefficients are dropped, so a zero block never meets its weight.
     """
-    cells = _k_cells(f.n, -k_max, min(k_max, f.N // 2 - 1))
+    cells = _points(np.arange(-k_max, min(k_max, f.N // 2 - 1) + 1), f.n)
     coeffs = f.spectrum[tuple((cells % f.N).T)]
     keep = coeffs != 0
     inv_p = 0.0 if p == math.inf else 1.0 / float(p)
@@ -485,8 +459,6 @@ def mod_norm_record(f: SampledFunction, params: NormParams) -> dict:
     |xi|_inf <= k_max-1 exceeds 1e-9.
     """
     _check_mode(f, params.mode)
-    if params.q < 1:
-        raise ValueError("q must be >= 1")
     k_max = params.resolved_k_max(f)
     tail = _tail_fraction(f, k_max)
     warns: list[str] = []
@@ -530,16 +502,8 @@ def stft_norm(f: SampledFunction, p, q, weight: WeightSpec,
 
     inner = _stft_parseval_inner(f, window) if p == 2 else _stft_shift_inner(f, window, p)
 
-    idx = f.index_axis()
-    if f.n == 1:
-        kpts = idx[:, None] * (math.pi / f.L)
-        wts = weight_eval(weight, kpts.reshape(-1, 1)).reshape(f.N)
-    else:
-        gx, gy = np.meshgrid(idx, idx, indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel()], axis=-1) * (math.pi / f.L)
-        wts = weight_eval(weight, pts).reshape(f.N, f.N)
-
-    terms = wts * inner
+    pts = _points(f.index_axis(), f.n) * (math.pi / f.L)
+    terms = weight_eval(weight, pts).reshape(inner.shape) * inner
     if q == math.inf:
         return float(np.max(terms))
     qf = float(q)
@@ -619,19 +583,11 @@ def refine(f: SampledFunction, factor: int = 2) -> SampledFunction:
         return f
     N2 = f.N * factor
     F = f.spectrum
-    if f.n == 1:
-        out = np.zeros(N2, dtype=np.complex128)
-        half = f.N // 2
-        out[:half] = F[:half]
-        out[N2 - half :] = F[f.N - half :]
-    else:
-        out = np.zeros((N2, N2), dtype=np.complex128)
-        half = f.N // 2
-        sl = [slice(0, half), slice(N2 - half, N2)]
-        src = [slice(0, half), slice(f.N - half, f.N)]
-        for a in range(2):
-            for b in range(2):
-                out[sl[a], sl[b]] = F[src[a], src[b]]
+    out = np.zeros((N2,) * f.n, dtype=np.complex128)
+    # each axis's nonnegative and negative frequencies go to the two ends
+    half = f.N // 2
+    for corner in itertools.product((slice(0, half), slice(-half, None)), repeat=f.n):
+        out[corner] = F[corner]
     return from_spectrum(f.n, f.L, N2, out)
 
 
@@ -702,20 +658,20 @@ def save_function(f: SampledFunction, path, kind: str | None = None,
 def load_function(path) -> tuple[SampledFunction, dict]:
     """Read the function file; returns (function, header).
 
-    Raises ValueError for a header without integer n, N and a numeric
-    L, for a sample row that does not parse as "index,re,im" (naming its
-    line), for a sample index that is out of range or repeated, and for
-    a sample value that is not finite.
+    Raises ValueError for a header without n = 1 or 2, an integer N and
+    a numeric L, for a sample row that does not parse as "index,re,im"
+    (naming its line), for a sample index that is out of range or
+    repeated, and for a sample value that is not finite.
     """
     with open(path, "r", newline="") as fh:
         header = json.loads(fh.readline())
         try:
             n, L, N = int(header["n"]), float(header["L"]), int(header["N"])
-            typed = (n, N) == (header["n"], header["N"])
+            typed = (n, N) == (header["n"], header["N"]) and n in (1, 2)
         except (KeyError, TypeError, ValueError):
             typed = False
         if not typed:
-            raise ValueError("function header needs integer n and N and a number L")
+            raise ValueError("function header needs n = 1 or 2, an integer N and a number L")
         index, values = [], []
         rows = csv.reader(fh)
         try:
@@ -729,7 +685,7 @@ def load_function(path) -> tuple[SampledFunction, dict]:
             # line_num counts the body lines read; line 1 is the header
             raise ValueError(f"line {rows.line_num + 1}: {exc}; "
                              "a sample row is index,re,im") from None
-    size = N if n == 1 else N * N
+    size = N**n
     try:
         idx = np.array(index, dtype=np.int64)
     except OverflowError:
@@ -747,5 +703,4 @@ def load_function(path) -> tuple[SampledFunction, dict]:
     flat[idx] = values
     if not np.isfinite(flat).all():
         raise ValueError("sample values must be finite")
-    shape = (N,) if n == 1 else (N, N)
-    return SampledFunction(n, L, N, flat.reshape(shape)), header
+    return SampledFunction(n, L, N, flat.reshape((N,) * n)), header

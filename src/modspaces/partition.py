@@ -18,6 +18,7 @@ Kronecker delta.  That exactness is what the lattice norm mode in
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -181,6 +182,24 @@ def _sigma_axis(x, k: int, order: int = 0):
     return (u2 * S - u * S2) / (S * S) - 2.0 * S1 * (u1 * S - u * S1) / (S**3)
 
 
+def _outer(op, axes):
+    """Tensor product of 1-d axis arrays under the ufunc op (axis i is dimension i).
+
+    One axis comes back as it is, so 1-d and 2-d grids are built alike.
+    """
+    return functools.reduce(op.outer, axes)
+
+
+def _points(side, n: int) -> np.ndarray:
+    """The points of the tensor grid side^n as (M, n) rows in C order."""
+    side = np.asarray(side)
+    grid = np.empty((side.size,) * n + (n,), dtype=side.dtype)
+    for i in range(n):
+        # coordinate i varies along axis i and broadcasts over the others
+        grid[..., i] = side.reshape((-1,) + (1,) * (n - 1 - i))
+    return grid.reshape(-1, n)
+
+
 def sigma_eval(w: WindowFunction, k, xi):
     """Partition member sigma_k(xi); vectorized over points.
 
@@ -238,11 +257,7 @@ def verify_partition(w: WindowFunction, grid=None) -> VerificationReport:
         axis = np.asarray(grid, dtype=float)
         m = axis.size
 
-    if n == 1:
-        pts = axis[:, None]
-    else:
-        gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    pts = _points(axis, n)
 
     # per-axis factors and distances, once per c; since 1 * x = x, their
     # outer products are the floats sigma_eval forms on the grid
@@ -252,10 +267,7 @@ def verify_partition(w: WindowFunction, grid=None) -> VerificationReport:
     dist = {c: np.abs(axis - c) for c in cells_1d}
 
     def tensor(op, per_axis, k):
-        out = per_axis[k[0]]
-        for c in k[1:]:
-            out = op.outer(out, per_axis[c]).ravel()
-        return out
+        return _outer(op, [per_axis[c] for c in k]).ravel()
 
     checks: dict[str, dict] = {}
 
@@ -329,10 +341,8 @@ def verify_partition(w: WindowFunction, grid=None) -> VerificationReport:
         trans_dev = max(trans_dev, float(np.max(np.abs(shifted - base))))
     checks["translation"] = {"deviation": trans_dev, "threshold": 1e-14}
 
-    if n == 1:
-        alphas = [(1,), (2,)]
-    else:
-        alphas = [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
+    # every multi-index of order 1 or 2 (the deviation is a max, so order is free)
+    alphas = [a for a in itertools.product(range(3), repeat=n) if 1 <= sum(a) <= 2]
     probe_d = rng.uniform(-0.95, 0.95, size=(40, n))
     deriv_dev = 0.0
     for alpha in alphas:

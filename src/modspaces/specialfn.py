@@ -337,9 +337,12 @@ def up_derivative_residual() -> float:
 class Density:
     """A named spectral density g with stable log-magnitude access.
 
-    log_abs_envelope, when present, is a smooth certified majorant of
-    log|g| (no oscillation zeros); the decay-quotient diagnostics use
-    it so that isolated near-zeros of g do not corrupt the trend.
+    log_abs_envelope, when present, is a smooth decay envelope of log|g|
+    (no oscillation zeros); the decay-quotient diagnostics use it so
+    that isolated near-zeros of g do not corrupt the trend.  It is not
+    certified for every density: gevrey_bump's is a fit that lies above
+    |g| only at its samples, and for mu = -1 it falls below |g| past
+    xi ~ 400 (ROADMAP.md, "Certified far-field bounds for the densities").
     """
 
     name: str
@@ -386,9 +389,11 @@ def density_by_name(name: str, **params) -> Density:
     """Registered densities: gevrey_bump(mu), up, rational_decay(k), gaussian(a).
 
     gevrey_bump uses direct quadrature up to |xi| = 200 and its fitted
-    one-sided decay envelope beyond (the quadrature floor sits near
-    1e-13); up uses the exact factor product; the other two are closed
-    forms.
+    decay envelope beyond (the quadrature floor sits near 1e-13).  That
+    envelope is gevrey_bump_decay's fit, not a certified bound: for
+    mu = -1 it falls below |g| past xi ~ 400 (ROADMAP.md, "Certified
+    far-field bounds for the densities").  up uses the exact factor
+    product; the other two are closed forms.
     """
     if name == "gevrey_bump":
         mu = float(params.get("mu", -1.0))
@@ -572,10 +577,11 @@ def density_condition_quotient(density: Density, s_prime: float,
 
     The admissibility condition asks this to tend to zero; the tests
     sample it on a decade ladder and require monotone decrease.  The
-    denominator uses the density's certified decay envelope rather than
-    raw |g|: pointwise samples of an oscillating transform can land
-    arbitrarily close to a zero and corrupt the trend, while the
-    envelope captures the decay rate the condition actually concerns.
+    denominator uses the density's decay envelope rather than raw |g|:
+    pointwise samples of an oscillating transform can land arbitrarily
+    close to a zero and corrupt the trend, while the envelope captures
+    the decay rate the condition actually concerns.  For gevrey_bump
+    that envelope is a fit, not a certified majorant (see Density).
     """
     out = []
     for xi in xi_list:
@@ -587,7 +593,7 @@ def density_condition_quotient(density: Density, s_prime: float,
 def loglog_condition_quotient(density: Density, xi_list) -> list[float]:
     """Quotients wstar(|xi|) / |log envelope(xi)| (slowly varying regime).
 
-    Uses the certified decay envelope for the same reason as
+    Uses the decay envelope (a fit for gevrey_bump) for the same reason as
     density_condition_quotient: the quotient measures a decay rate, and
     raw samples near an oscillation zero of g would misstate it.
     """

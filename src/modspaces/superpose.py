@@ -36,6 +36,7 @@ from .modspace import (
     mod_norm_record,
     refine,
 )
+from .partition import _outer
 from .specialfn import Density, gevrey_bump, up_eval
 from .weights import WeightSpec, w_star, weight_eval
 
@@ -115,11 +116,7 @@ def phase_split(u: SampledFunction, R: float) -> PhaseSplit:
     F = u.spectrum
     xi = u.xi_axis()
 
-    inside_axis = np.abs(xi) <= R + 1e-12
-    if u.n == 1:
-        cube = inside_axis
-    else:
-        cube = inside_axis[:, None] & inside_axis[None, :]
+    cube = _outer(np.logical_and, [np.abs(xi) <= R + 1e-12] * u.n)
     u0 = from_spectrum(u.n, u.L, u.N, np.where(cube, F, 0.0))
 
     # Per axis: eps_j = 0 claims xi_j >= 0 and eps_j = 1 claims
@@ -128,11 +125,7 @@ def phase_split(u: SampledFunction, R: float) -> PhaseSplit:
     pos_axis = xi >= 0.0
     parts = {}
     for eps in itertools.product((0, 1), repeat=u.n):
-        axes = [pos_axis if e == 0 else ~pos_axis for e in eps]
-        if u.n == 1:
-            orthant = axes[0]
-        else:
-            orthant = axes[0][:, None] & axes[1][None, :]
+        orthant = _outer(np.logical_and, [pos_axis if e == 0 else ~pos_axis for e in eps])
         mask = orthant & ~cube
         parts[eps] = from_spectrum(u.n, u.L, u.N, np.where(mask, F, 0.0))
     return PhaseSplit(u0=u0, parts=parts, R=float(R))

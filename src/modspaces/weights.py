@@ -147,9 +147,9 @@ class WeightSpec:
     """Tagged weight family evaluated on the frequency lattice.
 
     variant: polynomial | gevrey | loglog | exponential.
-    s: order parameter (polynomial: any real; gevrey: s > 1 needed by
-       the algebra estimates, s > 0 accepted for evaluation).
-    lam: rate of the exponential variant, >= 0.
+    s: order parameter (polynomial: any finite real; gevrey: s > 1
+       needed by the algebra estimates, s > 0 accepted for evaluation).
+    lam: rate of the exponential variant, finite and >= 0.
     """
 
     variant: str
@@ -161,9 +161,11 @@ class WeightSpec:
         if v not in _VARIANTS:
             raise ValueError(f"unknown weight variant {self.variant!r}")
         object.__setattr__(self, "variant", v)
-        if v == "gevrey" and self.s <= 0:
+        if not (math.isfinite(self.s) and math.isfinite(self.lam)):
+            raise ValueError(f"weight parameters must be finite, got s = {self.s}, lam = {self.lam}")
+        if v == "gevrey" and not self.s > 0:
             raise ValueError("gevrey weight requires s > 0")
-        if v == "exponential" and self.lam < 0:
+        if v == "exponential" and not self.lam >= 0:
             raise ValueError("exponential weight requires lam >= 0")
 
     @staticmethod

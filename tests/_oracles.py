@@ -525,3 +525,59 @@ def stft_shift_inner_per_dimension(f, window, p) -> np.ndarray:
     if pfin:
         return (vol * acc) ** (1.0 / float(p))
     return acc
+
+
+def random_bandlimited_per_mode(n: int, L: float, N: int, B: float, real: bool,
+                                seed: int) -> SampledFunction:
+    """synthesize("random_bandlimited") with a Python loop over the modes.
+
+    The generator synthesize ran before one tensor-product mode grid
+    served both dimensions: modes collected per dimension (math.hypot in
+    2-d), sorted as tuples, drawn into a dict and mirrored one at a time.
+    """
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros((N,) if n == 1 else (N, N), dtype=np.complex128)
+    m_band = int(math.floor(B * L / math.pi))
+    modes: list[tuple] = []
+    if n == 1:
+        for m in range(-m_band, m_band + 1):
+            if (math.pi * abs(m) / L) <= B + 1e-12:
+                modes.append((m,))
+    else:
+        for m1 in range(-m_band, m_band + 1):
+            for m2 in range(-m_band, m_band + 1):
+                if math.pi * math.hypot(m1, m2) / L <= B + 1e-12:
+                    modes.append((m1, m2))
+    modes.sort()
+    draws = rng.standard_normal((len(modes), 2))
+    assign = {m: complex(d[0], d[1]) for m, d in zip(modes, draws)}
+    if real:
+        for m in modes:
+            neg = tuple(-v for v in m)
+            if m == neg:
+                assign[m] = complex(assign[m].real, 0.0)
+            elif m > neg:
+                assign[m] = assign[neg].conjugate()
+    for m, cval in assign.items():
+        coeffs[tuple(v % N for v in m)] = cval
+    return from_spectrum(n, L, N, coeffs)
+
+
+def refine_per_dimension(f: SampledFunction, factor: int) -> SampledFunction:
+    """refine with a separate branch per dimension: the padding it ran before
+    one loop over the 2^n corners of the spectrum served both dimensions."""
+    N2 = f.N * factor
+    F = f.spectrum
+    half = f.N // 2
+    if f.n == 1:
+        out = np.zeros(N2, dtype=np.complex128)
+        out[:half] = F[:half]
+        out[N2 - half :] = F[f.N - half :]
+    else:
+        out = np.zeros((N2, N2), dtype=np.complex128)
+        sl = [slice(0, half), slice(N2 - half, N2)]
+        src = [slice(0, half), slice(f.N - half, f.N)]
+        for a in range(2):
+            for b in range(2):
+                out[sl[a], sl[b]] = F[src[a], src[b]]
+    return from_spectrum(f.n, f.L, N2, out)

@@ -3,13 +3,15 @@
 Each test pins one headline guarantee — critical-constant brackets,
 zero-violation inequality sweeps, partition exactness, norm-equivalence
 spread, algebra/subalgebra ratio behavior, constant identities,
-special-function certificates, superposition envelopes, and wall-clock
-budgets for the verification campaigns.  Tolerances here are the
-package's published numbers; loosening them is an interface change.
+special-function certificates, superposition envelopes, wall-clock
+budgets for the verification campaigns, and the full campaign's
+recorded result.  Tolerances here are the package's published numbers;
+loosening them is an interface change.
 """
 
 import json
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -47,6 +49,8 @@ from modspaces.superpose import (
 from modspaces.weights import WeightSpec, analyze_weight, verify_weight_inequality
 
 import _oracles as orc
+
+_DATA = pathlib.Path(__file__).parent / "data"
 
 
 # ----------------------------------------------------------------------
@@ -327,3 +331,6 @@ def test_acceptance_10_campaign_budgets(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["passed"] is True
     assert full < 600.0
+    # every leaf of the full campaign's result, exactly as recorded
+    with open(_DATA / "verify_full_result.json") as fh:
+        assert doc["result"] == json.load(fh)

@@ -294,7 +294,11 @@ _GOOD_HEADER = {"n": 1, "L": math.pi, "N": 4}
     ({"n": 1, "L": math.pi}, [0, 1, 2, 3]),               # missing N
     ({"n": 1, "L": math.pi, "N": None}, [0, 1, 2, 3]),    # mistyped N
     ({"n": 1, "L": math.pi, "N": 4.5}, [0, 1, 2, 3]),     # non-integer N
-], ids=["duplicate", "negative", "beyond-size", "beyond-int64", "missing-N", "null-N", "fractional-N"])
+    ({"n": 0, "L": math.pi, "N": 4}, [0]),                # no dimension
+    ({"n": -1, "L": math.pi, "N": 4}, [0, 1, 2, 3]),      # negative dimension
+    ({"n": 3, "L": math.pi, "N": 2}, list(range(8))),     # three dimensions
+], ids=["duplicate", "negative", "beyond-size", "beyond-int64", "missing-N", "null-N",
+        "fractional-N", "n-zero", "n-negative", "n-three"])
 def test_norm_rejects_malformed_function_file(capsys, tmp_path, header, indices):
     path = tmp_path / "bad.csv"
     rows = "".join(f"{i},1.0,0.0\n" for i in indices)
@@ -378,6 +382,36 @@ def test_norm_rejects_a_weight_key_the_kind_does_not_take(capsys, tmp_path, weig
     assert doc is None
     kind = weight.partition(":")[0]
     assert err == f"error: weight {kind!r} takes no key {key!r}; its keys: {keys}\n"
+
+
+@pytest.mark.parametrize("option", [
+    ("--weight", "gevrey:s=nan"),
+    ("--weight", "polynomial:s=inf"),
+    ("--weight", "exponential:lam=nan"),
+    ("--p", "nan"),
+    ("--q", "nan"),
+], ids=["gevrey-s-nan", "polynomial-s-inf", "exponential-lam-nan", "p-nan", "q-nan"])
+def test_norm_rejects_a_non_finite_parameter(capsys, tmp_path, option):
+    # Each printed "value": "nan" and exited 1, a failed check, since
+    # every range test on the parameter was false for NaN.
+    f = SampledFunction(1, math.pi, 32, np.ones(32, dtype=complex))
+    save_function(f, tmp_path / "one.csv")
+    code, doc, err = run_cli(capsys, "norm", str(tmp_path / "one.csv"), *option)
+    assert code == 2
+    assert doc is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_norm_takes_infinite_exponents_and_rejects_small_ones(capsys, tmp_path):
+    f = SampledFunction(1, math.pi, 32, np.ones(32, dtype=complex))
+    save_function(f, tmp_path / "one.csv")
+    code, doc, _ = run_cli(capsys, "norm", str(tmp_path / "one.csv"),
+                           "--p", "Infinity", "--q", " INF ")
+    assert code == 0
+    assert (doc["result"]["params"]["p"], doc["result"]["params"]["q"]) == ("inf", "inf")
+    code, doc, err = run_cli(capsys, "norm", str(tmp_path / "one.csv"), "--q", "0.5")
+    assert code == 2
+    assert err == "error: p and q must lie in [1, inf], got p = 2.0, q = 0.5\n"
 
 
 @pytest.mark.parametrize("L", [0.0, -math.pi, math.inf, math.nan])

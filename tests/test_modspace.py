@@ -117,6 +117,32 @@ def test_random_bandlimited_seed_determinism():
     assert np.max(np.abs(f.values - h.values)) > 1e-6
 
 
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("L", [PI, 2.8, 3.5, 5.0])
+def test_tensor_grid_generator_and_refine_match_the_per_dimension_loops(n, N, L):
+    nyq = PI * (N // 2 - 1) / L
+    for B in (0.0, 1.0, 0.5 * nyq, nyq):
+        for real in (True, False):
+            for seed in (0, 1, 2):
+                f = synthesize("random_bandlimited", n=n, L=L, N=N, seed=seed, B=B, real=real)
+                g = orc.random_bandlimited_per_mode(n, L, N, B, real, seed)
+                assert np.array_equal(f.spectrum, g.spectrum)
+                assert np.array_equal(f.values, g.values)
+                for factor in (2, 4):
+                    r, s = refine(f, factor), orc.refine_per_dimension(f, factor)
+                    assert np.array_equal(r.spectrum, s.spectrum)
+                    assert np.array_equal(r.values, s.values)
+
+
+def test_mode_radius_by_sqrt_is_hypot():
+    # The band test takes sqrt of the exact integer |m|^2; it equals
+    # math.hypot bit for bit on these pairs (signs do not matter).
+    side = np.arange(701)
+    r = np.sqrt(side[:, None] ** 2 + side[None, :] ** 2)
+    hyp = np.array([[math.hypot(a, b) for b in range(701)] for a in range(701)])
+    assert np.array_equal(r, hyp)
+
+
 # ----------------------------------------------------------------------
 # block operators
 # ----------------------------------------------------------------------
