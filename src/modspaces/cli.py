@@ -18,7 +18,7 @@ Exit codes: 0 when every invoked check passes, 1 when a check fails,
 2 on usage or input errors.
 
 A JSON config file (--config) can override the per-family settings
-(grid sizes, domains, tolerances, weight parameters); the schema is
+(sweep domains, counts, radii, weight parameters); the schema is
 the flat per-family key tables documented in the README.  Sweeps and
 scans run sequentially; there is no worker-count setting.
 """
@@ -200,25 +200,16 @@ _PROFILES = {
     },
     "partition": {"quick": {"dims": [1]}, "full": {"dims": [1, 2]}},
     "algebra": {
-        "quick": {"n_pairs": 10, "N": 128, "B": 20.0, "weights": ["gevrey"]},
-        "full": {"n_pairs": 50, "N": 128, "B": 20.0,
-                 "weights": ["gevrey", "loglog", "polynomial"]},
+        "quick": {"n_pairs": 10, "weights": ["gevrey"]},
+        "full": {"n_pairs": 50, "weights": ["gevrey", "loglog", "polynomial"]},
     },
-    "subalgebra": {
-        "quick": {"gevrey_R": [4, 8, 16, 32], "gevrey_s": 1.5,
-                  "gevrey_decay": 10.0, "loglog_R": None,
-                  "loglog_stepwise_from": 16.0},
-        "full": {"gevrey_R": [4, 8, 16, 32], "gevrey_s": 1.5,
-                 "gevrey_decay": 10.0, "loglog_R": [4, 16, 64, 256, 512],
-                 "loglog_stepwise_from": 16.0},
-    },
+    "subalgebra": {"quick": {"loglog_R": None},
+                   "full": {"loglog_R": [4, 16, 64, 256, 512]}},
     "superposition": {
         "quick": {"n_fixtures": 2, "lambdas": [2.0, 4.0, 8.0],
-                  "measure_lams": [1.0], "product_N": 6,
-                  "N": 256, "B": 12.0, "split_R": 8.0},
+                  "measure_lams": [1.0], "product_N": 6},
         "full": {"n_fixtures": 5, "lambdas": [2.0, 4.0, 8.0, 16.0],
-                 "measure_lams": [0.1, 1.0, 10.0], "product_N": 8,
-                 "N": 256, "B": 12.0, "split_R": 8.0},
+                 "measure_lams": [0.1, 1.0, 10.0], "product_N": 8},
     },
     "corpus": {"quick": _CORPUS_DEFAULTS, "full": _CORPUS_DEFAULTS},
 }
@@ -303,18 +294,18 @@ def verify_partition_family(profile: str, config: dict) -> dict:
     return {"checks": checks}
 
 
-def _algebra_corpus(n_pairs: int, N: int, B: float):
+def _algebra_corpus(n_pairs: int):
     pairs = []
     for i in range(n_pairs):
-        f = synthesize("random_bandlimited", n=1, N=N, seed=100 + 2 * i, B=B)
-        g = synthesize("random_bandlimited", n=1, N=N, seed=101 + 2 * i, B=B)
+        f = synthesize("random_bandlimited", n=1, N=128, seed=100 + 2 * i, B=20.0)
+        g = synthesize("random_bandlimited", n=1, N=128, seed=101 + 2 * i, B=20.0)
         pairs.append((f, g))
     return pairs
 
 
 def verify_algebra(profile: str, config: dict) -> dict:
     st = _family_settings(profile, config, "algebra")
-    pairs = _algebra_corpus(st["n_pairs"], st["N"], st["B"])
+    pairs = _algebra_corpus(st["n_pairs"])
     checks = []
     for name in st["weights"]:
         params = NormParams(p=2.0, q=2.0, weight=_ALGEBRA_WEIGHTS[name],
@@ -331,17 +322,15 @@ def verify_subalgebra(profile: str, config: dict) -> dict:
     st = _family_settings(profile, config, "subalgebra")
     checks = []
 
-    lad = subalgebra_ladder(WeightSpec.gevrey(s=st["gevrey_s"]),
-                            st["gevrey_R"])
+    lad = subalgebra_ladder(WeightSpec.gevrey(s=1.5), [4, 8, 16, 32])
     rs = lad["ratio"]
     steps = [rs[i] - rs[i + 1] for i in range(len(rs) - 1)]
     decay = rs[0] / rs[-1]
-    margin = min(min(steps), decay - st["gevrey_decay"])
+    margin = min(min(steps), decay - 10.0)
     checks.append(_check(
-        "subalgebra_gevrey_ladder",
-        min(steps) >= 0 and decay >= st["gevrey_decay"], margin,
+        "subalgebra_gevrey_ladder", min(steps) >= 0 and decay >= 10.0, margin,
         {"R": lad["R"], "ratio": rs, "total_decay": decay,
-         "required_decay": st["gevrey_decay"]}))
+         "required_decay": 10.0}))
 
     if st["loglog_R"]:
         lad2 = subalgebra_ladder(WeightSpec.loglog(), st["loglog_R"])
@@ -352,7 +341,7 @@ def verify_subalgebra(profile: str, config: dict) -> dict:
         # on, plus end to end across the whole ladder.
         margins = [rs2[0] / rs2[-1] - Rs2[-1] / Rs2[0]]
         for i in range(len(Rs2) - 1):
-            if Rs2[i] >= st["loglog_stepwise_from"]:
+            if Rs2[i] >= 16.0:
                 margins.append(rs2[i] / rs2[i + 1] - Rs2[i + 1] / Rs2[i])
         checks.append(_check(
             "subalgebra_loglog_ladder", min(margins) >= 0, min(margins),
@@ -370,8 +359,7 @@ def verify_superposition(profile: str, config: dict) -> dict:
 
     fixtures = []
     for i in range(st["n_fixtures"]):
-        f = synthesize("random_bandlimited", n=1, N=st["N"],
-                       seed=300 + i, B=st["B"])
+        f = synthesize("random_bandlimited", n=1, N=256, seed=300 + i, B=12.0)
         f = f.copy_with(f.values.real.astype(np.complex128))
         fixtures.append(f.copy_with(f.values * (0.5 / mod_norm(f, params))))
 
@@ -379,7 +367,7 @@ def verify_superposition(profile: str, config: dict) -> dict:
     worst_resid = 0.0
     worst_tri = math.inf
     for f in fixtures:
-        split = phase_split(f, st["split_R"])
+        split = phase_split(f, 8.0)
         worst_resid = max(worst_resid, split.residual(f))
         total = mod_norm(split.u0, params) + sum(
             mod_norm(p, params) for p in split.parts.values())
@@ -884,13 +872,12 @@ def _config_problem(config) -> str | None:
                     f"{name!r}; known: {', '.join(_ALGEBRA_WEIGHTS)}")
     # values that would leave a check nothing to test: a ladder needs
     # two rungs to decay between, a corpus at least one member
-    for key in ("gevrey_R", "loglog_R"):
-        radii = config.get("subalgebra", {}).get(key)
-        if radii is not None and not (
-                len(radii) >= 2 and radii[0] > 0
-                and all(a < b for a, b in zip(radii, radii[1:]))):
-            return (f"key {key!r} in family 'subalgebra' takes at least 2 "
-                    f"strictly increasing positive radii, not {json.dumps(radii)}")
+    radii = config.get("subalgebra", {}).get("loglog_R")
+    if radii is not None and not (
+            len(radii) >= 2 and radii[0] > 0
+            and all(a < b for a, b in zip(radii, radii[1:]))):
+        return ("key 'loglog_R' in family 'subalgebra' takes at least 2 "
+                f"strictly increasing positive radii, not {json.dumps(radii)}")
     for family, key in (("algebra", "n_pairs"), ("superposition", "n_fixtures")):
         count = config.get(family, {}).get(key)
         if count is not None and count < 1:

@@ -190,7 +190,8 @@ def synthesize(kind: str, *, n: int = 1, L: float = math.pi, N: int = 256,
     kind = "random_bandlimited": params B (band radius, physical
         frequency units), real (default True); spectrum supported in
         |xi|_2 <= B with seeded complex Gaussian coefficients,
-        Hermitian-symmetrized when real.  B beyond Nyquist rejected.
+        Hermitian-symmetrized when real.  B = 0 gives the constant mode
+        alone; a negative B, or one beyond Nyquist, is rejected.
     """
     if kind == "mode":
         k = params.get("k", 0)
@@ -219,6 +220,8 @@ def synthesize(kind: str, *, n: int = 1, L: float = math.pi, N: int = 256,
     if kind == "random_bandlimited":
         B = float(params.get("B", 8.0))
         real = bool(params.get("real", True))
+        if not B >= 0:
+            raise ValueError(f"band {B} must be nonnegative")
         nyq = math.pi * (N // 2 - 1) / L
         if B > nyq:
             raise ValueError(f"band {B} exceeds the Nyquist range {nyq:.6g}")

@@ -358,26 +358,11 @@ class Density:
         return fn(xi)
 
     @functools.cached_property
-    def moment(self) -> complex:
-        """int g dxi over [-256, 256]: 32-point Gauss-Legendre on panels of width 4.
-
-        One value call covers all 128 panels, whose sums are then added
-        in order.  It does not depend on any weight, so it is computed
-        once per density and kept on the instance.
-        """
-        halves, x = _gauss_panels(np.arange(-256.0, 256.0 + 2.0, 4.0))
-        vals = self.value(x.ravel()).reshape(x.shape)
-        moment = 0.0 + 0j
-        for half, v in zip(halves, vals):
-            moment += half * np.sum(_ML1_WEIGHTS * v)
-        return complex(moment)
-
-    @functools.cached_property
     def ladder_log_abs(self) -> tuple[np.ndarray, np.ndarray]:
         """log|g| at the nodes x of measure_L1's octave ladder and at -x.
 
-        Like moment it does not depend on the weight or on lam, so every
-        measure_L1 call on this density shares one evaluation.
+        It does not depend on the weight or on lam, so every measure_L1
+        call on this density shares one evaluation.
         """
         x = _gauss_panels(_ML1_EDGES)[1].ravel()
         both = self.log_abs(np.concatenate([x, -x])).reshape(2, -1)
@@ -504,18 +489,16 @@ def measure_L1(regime: str, density: Density, lam: float,
     (plus [0,1]) on both half-lines, out to 2^63.  Convergence means the
     Cauchy criterion holds: three consecutive octaves each contribute
     below 1e-18 of the running total.  A ladder exhausted without that
-    (the integrand still rising, or falling too slowly, at 2^63) is
-    flagged diverged.  An integrand may rise over dozens of octaves
+    (the integrand still rising, or falling too slowly, at 2^63) is not
+    converged.  An integrand may rise over dozens of octaves
     before its decay takes over; only the endpoint behavior decides.
     The weight is evaluated once per call on the nodes of the whole
     ladder, and log|g| once per density (Density.ladder_log_abs); the
     octaves are then summed in order.
 
-    Returns {value, log_value, converged, diverged, moment, octaves}.
-    moment is int g dxi over [-256, 256] (the zero-mean check), computed
-    once per density and shared by every call on it.  value may overflow
+    Returns {value, log_value, converged, octaves}.  value may overflow
     to inf while log_value stays finite; finiteness claims should test
-    the flags, not the float.
+    converged, not the float.
     """
     params = dict(params or {})
     if lam <= 0:
@@ -559,14 +542,11 @@ def measure_L1(regime: str, density: Density, lam: float,
                 break
         else:
             small = 0
-    diverged = not converged  # Cauchy criterion unmet within the full ladder
 
     return {
         "value": float(math.exp(log_total)) if log_total < 700 else math.inf,
         "log_value": float(log_total),
         "converged": converged,
-        "diverged": diverged,
-        "moment": density.moment,
         "octaves": octs,
     }
 

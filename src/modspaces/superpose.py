@@ -418,15 +418,14 @@ def lipschitz_check(u: SampledFunction, v: SampledFunction,
 # Subalgebra decay ladders
 # ---------------------------------------------------------------------------
 
-def subalgebra_band_ratio(R: float, weight: WeightSpec, *,
-                          width: int = 3) -> float:
-    """||f^2|| / ||f||^2 for f spectrally supported in (R, R + width].
+def subalgebra_band_ratio(R: float, weight: WeightSpec) -> float:
+    """||f^2|| / ||f||^2 for f spectrally supported in (R, R + 3].
 
     Norms are lattice M^{2,1} norms at L = pi with the given weight.
 
     f has unit coefficients on the integer modes of the band (one
     signed orthant, so the band sits inside a single sign class once
-    R >= 2), hence ||f|| = sum_k w(k).  f^2 lives in (2R, 2R + 2 width]
+    R >= 2), hence ||f|| = sum_k w(k).  f^2 lives in (2R, 2R + 6]
     with coefficient (2 pi)^(-1/2) c(m) at m, where c(m) counts the
     ordered pairs of band modes summing to m, hence
     ||f^2|| = (2 pi)^(-1/2) sum_m w(m) c(m); the ratio is evaluated in
@@ -437,9 +436,7 @@ def subalgebra_band_ratio(R: float, weight: WeightSpec, *,
     regimes.
     """
     lo = int(math.floor(R)) + 1
-    hi = int(math.floor(R + width))
-    if hi < lo:
-        raise ValueError("band (R, R + width] contains no integer modes")
+    hi = int(math.floor(R + 3))
     band = np.arange(lo, hi + 1)
     unit = np.ones(band.size)
     pairs = np.convolve(unit, unit)  # c(m) for m = 2 lo, ..., 2 hi
@@ -449,8 +446,8 @@ def subalgebra_band_ratio(R: float, weight: WeightSpec, *,
     return norm_f2 / math.sqrt(2.0 * math.pi) / norm_f ** 2
 
 
-def subalgebra_ladder(weight: WeightSpec, R_values, **kwargs) -> dict:
+def subalgebra_ladder(weight: WeightSpec, R_values) -> dict:
     """Band ratios along an increasing ladder of split radii."""
     Rs = [float(R) for R in R_values]
-    ratios = [subalgebra_band_ratio(R, weight, **kwargs) for R in Rs]
+    ratios = [subalgebra_band_ratio(R, weight) for R in Rs]
     return {"R": Rs, "ratio": ratios, "weight": weight.params()}

@@ -24,7 +24,6 @@ log domain so nothing overflows at radius ~1e6.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -260,9 +259,6 @@ class VerificationReport:
             d["extra"] = self.extra
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 LOG_TOL = 1e-12  # absolute tolerance for "margin >= 0" in the log domain
 
@@ -348,8 +344,12 @@ def _first_image(ties) -> tuple:
     return min(map(tuple, np.concatenate(images).tolist()))
 
 
-def _sweep_loglog(s: float, grid_max: float, step: float, n_random: int, seed: int,
-                  random_max: float):
+# the loglog sweep's far-field cloud and the elementary bound's exponent and range
+_LOGLOG_SEED, _LOGLOG_RANDOM_MAX = 20260814, 1e6
+_ELEMENTARY_EPS, _ELEMENTARY_XI_MAX = 0.5, 1e4
+
+
+def _sweep_loglog(s: float, grid_max: float, step: float, n_random: int):
     """Min margin of w(x) <= w(y) + w(x-y) - s*min(w(y), w(x-y)).
 
     The rectangular grid is uniform with the given step, so w(|x-y|)
@@ -357,8 +357,8 @@ def _sweep_loglog(s: float, grid_max: float, step: float, n_random: int, seed: i
     Row y of W[|y - x|] is the window V[m-y : 2m-y+1] of the mirrored
     table V = (W[m], ..., W[1], W[0], W[1], ..., W[m]), so the row
     blocks are slices of V's sliding windows in reverse order: views
-    that copy nothing.  A seeded uniform cloud in [0, random_max]^2
-    probes the far field.
+    that copy nothing.  A seeded uniform cloud in [0, 1e6]^2 probes the
+    far field.
     """
     m = int(round(grid_max / step))
     ts = np.arange(m + 1) * step
@@ -383,9 +383,9 @@ def _sweep_loglog(s: float, grid_max: float, step: float, n_random: int, seed: i
             worst = (float(ts[j]), float(ts[start + i]))  # (x, y)
 
     if n_random:
-        rng = np.random.default_rng(seed)
-        xs = rng.uniform(0.0, random_max, size=n_random)
-        ys = rng.uniform(0.0, random_max, size=n_random)
+        rng = np.random.default_rng(_LOGLOG_SEED)
+        xs = rng.uniform(0.0, _LOGLOG_RANDOM_MAX, size=n_random)
+        ys = rng.uniform(0.0, _LOGLOG_RANDOM_MAX, size=n_random)
         wy = w_star(ys)
         wxy = w_star(np.abs(xs - ys))
         margin = wy + wxy - s * np.minimum(wy, wxy) - w_star(xs)
@@ -398,9 +398,10 @@ def _sweep_loglog(s: float, grid_max: float, step: float, n_random: int, seed: i
     return best_margin, worst, count
 
 
-def _sweep_elementary(eps: float, xi_max: float, n_points: int):
-    """Min margin of w(|xi|^(1+eps)) <= (1+eps)*log(b(xi))*(eps + loglog(b(xi)))."""
-    xs = np.linspace(0.0, xi_max, n_points)
+def _sweep_elementary(n_points: int):
+    """Min margin of w(|xi|^(1+eps)) <= (1+eps)*log(b(xi))*(eps + loglog(b(xi))), eps = 1/2."""
+    eps = _ELEMENTARY_EPS
+    xs = np.linspace(0.0, _ELEMENTARY_XI_MAX, n_points)
     logb = np.log(bracket_star(xs))
     rhs = (1.0 + eps) * logb * (eps + np.log(logb))
     lhs = w_star(xs ** (1.0 + eps))
@@ -409,33 +410,62 @@ def _sweep_elementary(eps: float, xi_max: float, n_points: int):
     return float(margin[i]), (float(xs[i]),), xs.size
 
 
-def verify_weight_inequality(kind: str, params: dict | None = None,
-                             domain: dict | None = None) -> VerificationReport:
+# each kind's params keys, required and optional, and its domain keys
+_SWEEP_KEYS = {
+    "gevrey": (("s",), (), ("n", "radius")),
+    "loglog": ((), ("s",), ("grid_max", "step", "n_random")),
+    "elementary": ((), (), ("n_points",)),
+}
+
+
+def _check_sweep_keys(kind: str, params: dict, domain: dict) -> None:
+    """Raise ValueError naming the first missing or unknown params or domain key."""
+    required, optional, domain_keys = _SWEEP_KEYS[kind]
+    for what, given, needed, allowed in (
+            ("params", params, required, required + optional),
+            ("domain", domain, domain_keys, domain_keys)):
+        missing = [k for k in needed if k not in given]
+        if missing:
+            raise ValueError(f"{kind} sweep needs {what} key {missing[0]!r}")
+        unknown = sorted(set(given) - set(allowed))
+        if unknown:
+            raise ValueError(f"{kind} sweep takes no {what} key {unknown[0]!r}; "
+                             f"its {what} keys: {', '.join(allowed) or 'none'}")
+
+
+def verify_weight_inequality(kind: str, params: dict,
+                             domain: dict) -> VerificationReport:
     """Sweep one of the three weight inequalities and report margins.
 
+    Each kind takes exactly these keys; a missing or unknown one is a
+    ValueError naming it.
+
     kind = "gevrey": exponent triangle bound with subtraction factor
-        delta = 2 - 2^(1/s) over an integer box.  params: {"s": >1}.
-        domain: {"radius": int, "n": 1|2}.
-    kind = "loglog": subadditivity of w up to -s*min(...), params
-        {"s": in (0, 1-p0]}, domain {"grid_max", "step", "n_random",
-        "seed", "random_max"}.
-    kind = "elementary": composition bound for |xi|^(1+eps), params
-        {"eps": in (0,1)}, domain {"xi_max", "n_points"}.
+        delta = 2 - 2^(1/s) over an integer box.  params {"s": > 1},
+        domain {"n": 1|2, "radius": int}.
+    kind = "loglog": subadditivity of w up to -s*min(...).  params {} or
+        {"s": in (0, 1]}, s defaulting to s_admissible = 1 - p0; domain
+        {"grid_max", "step", "n_random"}.  The grid [0, grid_max]^2 is
+        swept with the given step, plus n_random points of a uniform
+        cloud in [0, 1e6]^2 with seed 20260814.
+    kind = "elementary": composition bound for |xi|^(1+eps), eps = 1/2,
+        on xi in [0, 1e4].  params {}, domain {"n_points"}.
 
     All margins are computed on exponents (log domain); pass means
     min_margin >= -1e-12.
     """
-    params = dict(params or {})
-    domain = dict(domain or {})
+    if kind not in _SWEEP_KEYS:
+        raise ValueError(f"unknown inequality kind {kind!r}")
+    _check_sweep_keys(kind, params, domain)
 
     if kind == "gevrey":
-        s = float(params.get("s", 2.0))
+        s = float(params["s"])
         if s <= 1.0:
             raise ValueError("gevrey inequality requires s > 1 (delta > 0)")
-        n = int(domain.get("n", 1))
+        n = int(domain["n"])
         if n not in (1, 2):
             raise ValueError("n must be 1 or 2")
-        radius = int(domain.get("radius", 200 if n == 1 else 40))
+        radius = int(domain["radius"])
         margin, worst, count = _sweep_gevrey(s, radius, n)
         desc = f"integer box |k|_inf,|l|_inf <= {radius}, n={n}"
         params = {"s": s, "delta": 2.0 - 2.0 ** (1.0 / s)}
@@ -443,27 +473,18 @@ def verify_weight_inequality(kind: str, params: dict | None = None,
         s = float(params.get("s", analyze_weight().s_admissible))
         if not 0.0 < s <= 1.0:
             raise ValueError("loglog inequality requires 0 < s <= 1")
-        grid_max = float(domain.get("grid_max", 2000.0))
-        step = float(domain.get("step", 0.5))
-        n_random = int(domain.get("n_random", 100_000))
-        seed = int(domain.get("seed", 20260814))
-        random_max = float(domain.get("random_max", 1e6))
-        margin, worst, count = _sweep_loglog(s, grid_max, step, n_random, seed,
-                                             random_max)
-        desc = (f"grid [0,{grid_max:g}]^2 step {step:g} "
-                f"+ {n_random} random points in [0,{random_max:g}]^2 (seed {seed})")
+        grid_max = float(domain["grid_max"])
+        step = float(domain["step"])
+        n_random = int(domain["n_random"])
+        margin, worst, count = _sweep_loglog(s, grid_max, step, n_random)
+        desc = (f"grid [0,{grid_max:g}]^2 step {step:g} + {n_random} random points "
+                f"in [0,{_LOGLOG_RANDOM_MAX:g}]^2 (seed {_LOGLOG_SEED})")
         params = {"s": s}
-    elif kind == "elementary":
-        eps = float(params.get("eps", 0.5))
-        if not 0.0 < eps < 1.0:
-            raise ValueError("elementary inequality requires 0 < eps < 1")
-        xi_max = float(domain.get("xi_max", 1e4))
-        n_points = int(domain.get("n_points", 200_001))
-        margin, worst, count = _sweep_elementary(eps, xi_max, n_points)
-        desc = f"xi in [0,{xi_max:g}], {n_points} uniform points"
-        params = {"eps": eps}
-    else:
-        raise ValueError(f"unknown inequality kind {kind!r}")
+    else:  # elementary
+        n_points = int(domain["n_points"])
+        margin, worst, count = _sweep_elementary(n_points)
+        desc = f"xi in [0,{_ELEMENTARY_XI_MAX:g}], {n_points} uniform points"
+        params = {"eps": _ELEMENTARY_EPS}
 
     return VerificationReport(
         kind=kind,

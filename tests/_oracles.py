@@ -418,8 +418,7 @@ def measure_L1_per_octave(regime: str, density, lam: float, params: dict | None 
     """measure_L1 with two density and one weight evaluation per panel.
 
     The octave ladder is walked panel by panel, as the package did
-    before it evaluated the whole ladder in one pass, and the zero-mean
-    moment is recomputed from 128 separate value calls.
+    before it evaluated the whole ladder in one pass.
     """
     params = dict(params or {})
 
@@ -464,18 +463,10 @@ def measure_L1_per_octave(regime: str, density, lam: float, params: dict | None 
             small = 0
         a, b = b, 2.0 * b
 
-    edges = np.arange(-256.0, 256.0 + 2.0, 4.0)
-    moment = 0.0 + 0j
-    for lo_e, hi_e in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo_e + hi_e), 0.5 * (hi_e - lo_e)
-        moment += half * np.sum(_ML1_WEIGHTS * density.value(mid + half * _ML1_NODES))
-
     return {
         "value": float(math.exp(log_total)) if log_total < 700 else math.inf,
         "log_value": float(log_total),
         "converged": converged,
-        "diverged": not converged,
-        "moment": complex(moment),
         "octaves": octs,
     }
 

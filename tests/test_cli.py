@@ -119,7 +119,7 @@ def test_config_typo_is_usage_error(capsys, tmp_path, config, named):
     ("algebra", {"algebra": {"n_pairs": "x"}}, "'n_pairs'"),
     ("algebra", {"algebra": {"n_pairs": 2.5}}, "'n_pairs'"),
     ("algebra", {"algebra": {"weights": ["nope"]}}, "'nope'"),
-    ("subalgebra", {"subalgebra": {"gevrey_R": 4}}, "'gevrey_R'"),
+    ("subalgebra", {"subalgebra": {"loglog_R": 4}}, "'loglog_R'"),
     ("superposition", {"superposition": {"lambdas": 2.0}}, "'lambdas'"),
     ("weights", {"weights": {"sharpness_probe": "yes"}}, "'sharpness_probe'"),
 ], ids=["int-as-string", "int-as-fraction", "unknown-weight", "list-as-int",
@@ -154,9 +154,8 @@ def test_config_is_checked_whole_before_any_family_runs(capsys, tmp_path, comman
 
 
 @pytest.mark.parametrize("command, config, named", [
-    (("subalgebra", "quick"), {"subalgebra": {"gevrey_R": []}}, "'gevrey_R'"),
-    (("subalgebra", "quick"), {"subalgebra": {"gevrey_R": [4]}}, "'gevrey_R'"),
-    (("subalgebra", "quick"), {"subalgebra": {"gevrey_R": [8, 4]}}, "'gevrey_R'"),
+    (("subalgebra", "quick"), {"subalgebra": {"loglog_R": []}}, "'loglog_R'"),
+    (("subalgebra", "quick"), {"subalgebra": {"loglog_R": [8, 4]}}, "'loglog_R'"),
     (("subalgebra", "full"), {"subalgebra": {"loglog_R": [4]}}, "'loglog_R'"),
     (("subalgebra", "full"), {"subalgebra": {"loglog_R": [0, 4]}}, "'loglog_R'"),
     (("algebra", "quick"), {"algebra": {"n_pairs": 0}}, "'n_pairs'"),
@@ -167,9 +166,9 @@ def test_config_is_checked_whole_before_any_family_runs(capsys, tmp_path, comman
      "'measure_lams'"),
     (("superposition", "quick"), {"superposition": {"lambdas": []}}, "'lambdas'"),
     (("weights", "quick"), {"weights": {"gevrey_s": []}}, "'gevrey_s'"),
-], ids=["gevrey-R-empty", "gevrey-R-one-rung", "gevrey-R-decreasing",
-        "loglog-R-one-rung", "loglog-R-zero", "no-pairs", "no-fixtures",
-        "no-dims", "no-weights", "no-measure-lams", "no-lambdas", "no-gevrey-s"])
+], ids=["loglog-R-empty", "loglog-R-decreasing", "loglog-R-one-rung",
+        "loglog-R-zero", "no-pairs", "no-fixtures", "no-dims", "no-weights",
+        "no-measure-lams", "no-lambdas", "no-gevrey-s"])
 def test_config_value_leaving_nothing_to_test_is_usage_error(capsys, tmp_path,
                                                              command, config, named):
     cfg = tmp_path / "cfg.json"
@@ -181,6 +180,29 @@ def test_config_value_leaving_nothing_to_test_is_usage_error(capsys, tmp_path,
     assert doc is None
     assert len(err.strip().splitlines()) == 1
     assert named in err and repr(family) in err
+
+
+# keys fixed in the code at the one value both profiles gave them
+_REMOVED_KEYS = [
+    ("algebra", "N", 128), ("algebra", "B", 20.0),
+    ("subalgebra", "gevrey_R", [4, 8, 16, 32]), ("subalgebra", "gevrey_s", 1.5),
+    ("subalgebra", "gevrey_decay", 10.0), ("subalgebra", "loglog_stepwise_from", 16.0),
+    ("superposition", "N", 256), ("superposition", "B", 12.0),
+    ("superposition", "split_R", 8.0),
+]
+
+
+@pytest.mark.parametrize("family, key, value", _REMOVED_KEYS,
+                         ids=[f"{family}.{key}" for family, key, _ in _REMOVED_KEYS])
+def test_config_removed_key_is_usage_error(capsys, tmp_path, family, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({family: {key: value}}))
+    code, doc, err = run_cli(capsys, "--config", str(cfg),
+                             "verify", family, "--profile", "quick")
+    assert code == 2
+    assert doc is None
+    assert len(err.strip().splitlines()) == 1
+    assert f"unknown key {key!r} in family {family!r}" in err
 
 
 def test_config_valid_keys_are_accepted(capsys, tmp_path):
@@ -471,6 +493,19 @@ def test_corpus_generate_deterministic(capsys, tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
     manifest = json.loads((d1 / "manifest.json").read_text())
     assert len(manifest["files"]) == 3
+
+
+def test_corpus_generate_rejects_a_negative_band(capsys, tmp_path):
+    # a negative band wrote an all-zero fixture whose norm 0.0 "passed"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus": {"bands": [-5.0], "N": 16}}))
+    code, doc, err = run_cli(capsys, "--config", str(cfg), "corpus", "generate",
+                             "--count", "1", "--out", str(tmp_path / "c"))
+    assert code == 2
+    assert doc is None
+    assert len(err.strip().splitlines()) == 1
+    assert "band -5.0" in err
+    assert not (tmp_path / "c" / "fixture_000.csv").exists()
 
 
 # ----------------------------------------------------------------------

@@ -101,6 +101,15 @@ def test_synthesize_validation():
         synthesize("wavelet")
 
 
+def test_synthesize_rejects_a_negative_band():
+    # a negative band has no modes: it gave an all-zero "random" function
+    with pytest.raises(ValueError, match="nonnegative"):
+        synthesize("random_bandlimited", B=-0.5, N=16, seed=0)
+    # B = 0 keeps the constant mode alone
+    f = synthesize("random_bandlimited", B=0.0, N=16, seed=0)
+    assert f.values[0] != 0 and np.all(f.values == f.values[0])
+
+
 def test_random_bandlimited_is_real_and_banded():
     f = synthesize("random_bandlimited", B=6.0, N=64, seed=11)
     assert np.max(np.abs(f.values.imag)) < 1e-12

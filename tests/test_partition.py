@@ -182,4 +182,4 @@ _UNEVEN_AXIS = np.concatenate([np.linspace(-3.7, -1.1, 23),
 def test_verify_partition_matches_per_cell_route(n, grid):
     # separable axis factors against sigma_eval at every point for every cell
     got = verify_partition(build_window(n), grid)
-    assert got.to_json() == orc.verify_partition_per_cell(build_window(n), grid).to_json()
+    assert got.to_dict() == orc.verify_partition_per_cell(build_window(n), grid).to_dict()

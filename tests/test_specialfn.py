@@ -218,10 +218,18 @@ def test_bump_density_value_matches_quadrature_inside_range():
 # weighted integrals
 # ----------------------------------------------------------------------
 
+def _moment(density: Density) -> complex:
+    """int g dxi over [-256, 256]: 32-point Gauss-Legendre on 128 panels of width 4."""
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    mids = np.arange(-254.0, 256.0, 4.0)
+    vals = density.value((mids[:, None] + 2.0 * nodes).ravel()).reshape(mids.size, -1)
+    return complex(2.0 * np.sum(vals @ weights))
+
+
 def test_measure_gaussian_matches_mpmath():
     g = density_by_name("gaussian", a=1.0)
     got = measure_L1("gevrey", g, 1.0, {"s": 2.0})
-    assert got["converged"] and not got["diverged"]
+    assert got["converged"]
 
     def integrand(x):
         if x == 0:
@@ -231,17 +239,18 @@ def test_measure_gaussian_matches_mpmath():
     ref = 2 * mp.quad(integrand, [0, 1, 10, 40])
     assert got["value"] == pytest.approx(float(ref), rel=1e-8)
     # the density has nonzero mean; the moment is sqrt(pi) for a = 1
-    assert got["moment"].real == pytest.approx(math.sqrt(math.pi), rel=1e-10)
-    assert got["moment"].imag == pytest.approx(0.0, abs=1e-12)
+    moment = _moment(g)
+    assert moment.real == pytest.approx(math.sqrt(math.pi), rel=1e-10)
+    assert moment.imag == pytest.approx(0.0, abs=1e-12)
 
 
 def test_measure_flags_honest_divergence():
     bump = density_by_name("gevrey_bump", mu=-1.0)
     out = measure_L1("gevrey", bump, 1.0, {"s": 2.0})
-    assert out["diverged"] and not out["converged"]
+    assert not out["converged"]
     rat = density_by_name("rational_decay", k=2.0)
     out = measure_L1("gevrey", rat, 0.5, {"s": 2.0})
-    assert out["diverged"]
+    assert not out["converged"]
 
 
 def test_measure_converges_after_long_rise():
@@ -249,7 +258,7 @@ def test_measure_converges_after_long_rise():
     # the ladder must not mistake that rise for divergence
     bump = density_by_name("gevrey_bump", mu=-2.0)
     out = measure_L1("gevrey", bump, 1.0, {"s": 2.0})
-    assert out["converged"] and not out["diverged"]
+    assert out["converged"]
     assert out["value"] == math.inf  # too large for a double ...
     assert 100.0 < out["log_value"] < 1e5  # ... but the log is exact
     assert len(out["octaves"]) > 20
@@ -261,7 +270,7 @@ def test_measure_up_under_slowly_varying_weight():
     assert out["converged"]
     assert math.isfinite(out["value"]) and out["value"] > 0
     # zero-mean: integral of the transform is sqrt(2 pi) * up(0) = 0
-    assert abs(out["moment"]) < 1e-6
+    assert abs(_moment(up)) < 1e-6
 
 
 def _shifted_gaussian() -> Density:
@@ -284,8 +293,7 @@ _ML1_DENSITIES = {
 
 @pytest.mark.parametrize("name", sorted(_ML1_DENSITIES))
 def test_measure_matches_per_octave_route(name):
-    # one-pass ladder and once-per-density moment against the panel-by-panel
-    # route, every field exactly, over the campaign's regimes and lambdas
+    # one-pass ladder against the panel-by-panel route, every field exactly, over the campaign's regimes and lambdas
     density = _ML1_DENSITIES[name]()
     for regime, params in (("gevrey", {"s": 2.0}),
                            ("loglog", {"theta": 1.0, "eps": 0.5})):

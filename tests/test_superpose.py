@@ -351,12 +351,6 @@ def test_band_ratio_slowly_varying_eventual_decay():
     assert ladder["ratio"][1] < ladder["ratio"][0] / 2.0
 
 
-def test_band_ratio_validation():
-    spec = WeightSpec.gevrey(1.5)
-    with pytest.raises(ValueError):
-        subalgebra_band_ratio(4.2, spec, width=0.5)
-
-
 # the campaign's ladders: Gevrey s in {1.5, 2} and the slowly varying
 # weight, each with the grid size its former grid route used
 _LADDERS = {

@@ -224,13 +224,10 @@ def test_sweep_gevrey_2d_matches_full_box(s, radius):
 def test_sweep_loglog_matches_index_gather(s, grid_max, step, n_random):
     # mirrored-table row windows against the index-gather loop, exactly
     s = analyze_weight().s_admissible if s == "admissible" else s
-    seed, random_max = 20260814, 1e6
     rep = verify_weight_inequality(
-        "loglog", {"s": s},
-        {"grid_max": grid_max, "step": step, "n_random": n_random,
-         "seed": seed, "random_max": random_max})
+        "loglog", {"s": s}, {"grid_max": grid_max, "step": step, "n_random": n_random})
     margin, worst, count = orc.sweep_loglog_gather(s, grid_max, step, n_random,
-                                                   seed, random_max)
+                                                   20260814, 1e6)
     assert (rep.min_margin, rep.worst_point, rep.points_checked) == (margin, worst, count)
 
 
@@ -264,29 +261,61 @@ def test_sweep_loglog_excessive_subtraction_fails():
 
 
 def test_sweep_elementary_passes():
-    rep = verify_weight_inequality(
-        "elementary", {"eps": 0.5}, {"xi_max": 1e4, "n_points": 20001}
-    )
+    rep = verify_weight_inequality("elementary", {}, {"n_points": 20001})
     assert rep.passed
+    assert rep.params == {"eps": 0.5}
+    assert rep.domain_description == "xi in [0,10000], 20001 uniform points"
 
 
 def test_sweep_validation_errors():
-    with pytest.raises(ValueError):
-        verify_weight_inequality("gevrey", {"s": 1.0})
-    with pytest.raises(ValueError):
-        verify_weight_inequality("loglog", {"s": 1.5})
-    with pytest.raises(ValueError):
-        verify_weight_inequality("elementary", {"eps": 1.0})
-    with pytest.raises(ValueError):
-        verify_weight_inequality("mystery")
+    with pytest.raises(ValueError, match="s > 1"):
+        verify_weight_inequality("gevrey", {"s": 1.0}, {"n": 1, "radius": 4})
+    with pytest.raises(ValueError, match="n must be 1 or 2"):
+        verify_weight_inequality("gevrey", {"s": 2.0}, {"n": 3, "radius": 4})
+    with pytest.raises(ValueError, match="0 < s <= 1"):
+        verify_weight_inequality(
+            "loglog", {"s": 1.5}, {"grid_max": 4.0, "step": 1.0, "n_random": 0})
+    with pytest.raises(ValueError, match="'mystery'"):
+        verify_weight_inequality("mystery", {}, {})
+
+
+# each kind's full key set, and one key it does not take
+_SWEEP_CALLS = {
+    "gevrey": ({"s": 2.0}, {"n": 1, "radius": 4}, "seed"),
+    "loglog": ({"s": 0.5}, {"grid_max": 4.0, "step": 1.0, "n_random": 10},
+               "random_max"),
+    "elementary": ({}, {"n_points": 11}, "xi_maxx"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SWEEP_CALLS))
+def test_sweep_rejects_an_unknown_key(kind):
+    params, domain, extra = _SWEEP_CALLS[kind]
+    with pytest.raises(ValueError, match=f"no domain key '{extra}'"):
+        verify_weight_inequality(kind, params, {**domain, extra: 1.0})
+    with pytest.raises(ValueError, match="no params key 'epsilon'"):
+        verify_weight_inequality(kind, {**params, "epsilon": 0.9}, domain)
+
+
+@pytest.mark.parametrize("kind", sorted(_SWEEP_CALLS))
+def test_sweep_rejects_a_missing_key(kind):
+    params, domain, _ = _SWEEP_CALLS[kind]
+    for key in domain:
+        with pytest.raises(ValueError, match=f"needs domain key '{key}'"):
+            verify_weight_inequality(
+                kind, params, {k: v for k, v in domain.items() if k != key})
+    if kind == "gevrey":
+        with pytest.raises(ValueError, match="needs params key 's'"):
+            verify_weight_inequality(kind, {}, domain)
+    else:  # s is optional for loglog, and elementary takes no params key
+        assert verify_weight_inequality(kind, {}, domain).passed
 
 
 def test_report_serialization_round_trip():
     import json
 
-    rep = verify_weight_inequality("elementary", {"eps": 0.25},
-                                   {"xi_max": 100.0, "n_points": 101})
-    doc = json.loads(rep.to_json())
+    rep = verify_weight_inequality("elementary", {}, {"n_points": 101})
+    doc = json.loads(json.dumps(rep.to_dict(), sort_keys=True))
     assert doc["passed"] is True
     assert doc["kind"] == "elementary"
     assert doc["points_checked"] == 101
