@@ -157,6 +157,7 @@ def test_config_is_checked_whole_before_any_family_runs(capsys, tmp_path, comman
     (("subalgebra", "quick"), {"subalgebra": {"loglog_R": []}}, "'loglog_R'"),
     (("subalgebra", "quick"), {"subalgebra": {"loglog_R": [8, 4]}}, "'loglog_R'"),
     (("subalgebra", "full"), {"subalgebra": {"loglog_R": [4]}}, "'loglog_R'"),
+    (("subalgebra", "quick"), {"subalgebra": {"loglog_R": [4]}}, "'loglog_R'"),
     (("subalgebra", "full"), {"subalgebra": {"loglog_R": [0, 4]}}, "'loglog_R'"),
     (("algebra", "quick"), {"algebra": {"n_pairs": 0}}, "'n_pairs'"),
     (("superposition", "quick"), {"superposition": {"n_fixtures": 0}}, "'n_fixtures'"),
@@ -167,8 +168,8 @@ def test_config_is_checked_whole_before_any_family_runs(capsys, tmp_path, comman
     (("superposition", "quick"), {"superposition": {"lambdas": []}}, "'lambdas'"),
     (("weights", "quick"), {"weights": {"gevrey_s": []}}, "'gevrey_s'"),
 ], ids=["loglog-R-empty", "loglog-R-decreasing", "loglog-R-one-rung",
-        "loglog-R-zero", "no-pairs", "no-fixtures", "no-dims", "no-weights",
-        "no-measure-lams", "no-lambdas", "no-gevrey-s"])
+        "loglog-R-one-rung-quick", "loglog-R-zero", "no-pairs", "no-fixtures",
+        "no-dims", "no-weights", "no-measure-lams", "no-lambdas", "no-gevrey-s"])
 def test_config_value_leaving_nothing_to_test_is_usage_error(capsys, tmp_path,
                                                              command, config, named):
     cfg = tmp_path / "cfg.json"
