@@ -217,6 +217,17 @@ _PROFILES = {
 # families whose settings a --config file may override
 _CONFIG_FAMILIES = tuple(sorted(_PROFILES))
 
+# lower bounds of the numeric config keys (a list's every entry): sizes
+# and rates take a finite value > 0; the keys where 0 skips a check, >= 0
+_CONFIG_FLOORS = {
+    ("weights", "gevrey_radius_1d"): ">", ("weights", "gevrey_radius_2d"): ">=",
+    ("weights", "loglog_grid_max"): ">", ("weights", "loglog_step"): ">",
+    ("weights", "loglog_random"): ">=", ("weights", "elementary_points"): ">",
+    ("algebra", "n_pairs"): ">", ("superposition", "n_fixtures"): ">",
+    ("superposition", "product_N"): ">", ("superposition", "lambdas"): ">",
+    ("superposition", "measure_lams"): ">",
+}
+
 # the weights an "algebra" config may name
 _ALGEBRA_WEIGHTS = {
     "gevrey": WeightSpec.gevrey(s=2.0),
@@ -843,7 +854,7 @@ def _config_problem(config) -> str | None:
     Every family in the config is checked, whichever command runs: its
     name, that it maps to an object, each key and value type against
     the profile defaults in _PROFILES, the algebra weight names, the
-    subalgebra ladders' radii, the algebra and superposition counts, and
+    subalgebra ladders' radii, the lower bounds in _CONFIG_FLOORS, and
     that no list is empty.
     """
     if not isinstance(config, dict):
@@ -878,10 +889,13 @@ def _config_problem(config) -> str | None:
             and all(a < b for a, b in zip(radii, radii[1:]))):
         return ("key 'loglog_R' in family 'subalgebra' takes at least 2 "
                 f"strictly increasing positive radii, not {json.dumps(radii)}")
-    for family, key in (("algebra", "n_pairs"), ("superposition", "n_fixtures")):
-        count = config.get(family, {}).get(key)
-        if count is not None and count < 1:
-            return f"key {key!r} in family {family!r} takes at least 1, not {count}"
+    for (family, key), floor in _CONFIG_FLOORS.items():
+        value = config.get(family, {}).get(key)
+        entries = value if isinstance(value, list) else [value]
+        if value is not None and not all(
+                math.isfinite(v) and (v > 0 if floor == ">" else v >= 0) for v in entries):
+            return (f"key {key!r} in family {family!r} takes finite values {floor} 0, "
+                    f"not {json.dumps(value)}")
     for family, overrides in sorted(config.items()):
         for key, value in sorted(overrides.items()):
             if value == []:

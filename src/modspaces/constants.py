@@ -184,20 +184,20 @@ def choose_R(regime: str, norm_u: float, params: dict | None = None) -> float:
     if norm_u <= 1.0:
         raise ValueError("choose_R requires norm_u > 1 (use R = 3 below)")
     if regime == "loglog":
-        N = int(params.get("N", 3))
+        N = int(params["N"])
         if N < 1:
             raise ValueError("N must be a positive integer")
         return 2.0 * norm_u ** (1.0 / N)
     if regime == "gevrey":
-        s = float(params.get("s", 2.0))
-        q = float(params.get("q", 2.0))
-        n = int(params.get("n", 1))
+        s = float(params["s"])
+        q = float(params["q"])
         if s <= 1.0:
             raise ValueError("gevrey regime requires s > 1")
         if q <= 1.0:
             raise ValueError("gevrey choose_R requires q > 1 (q' finite)")
         qp = _conjugate(q)
         delta = 2.0 - 2.0 ** (1.0 / s)
+        n = int(params["n"])
         target = math.gamma(s * n) * norm_u ** (qp * (1.0 / s - 1.0))
         x = inverse_g(s * n, target)
         return 2.0 + (x / (delta * qp)) ** s

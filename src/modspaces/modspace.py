@@ -271,14 +271,6 @@ def _axis_sigma_band(f: SampledFunction,
     return row[nz], col[nz], val[nz]
 
 
-def _axis_sigma_rows(f: SampledFunction, ks: np.ndarray) -> np.ndarray:
-    """Dense K x N matrix of the axis factors sigma_k(xi_m) on f's frequency axis."""
-    row, col, val = _axis_sigma_band(f, ks)
-    rows = np.zeros((ks.size, f.N))
-    rows[row, col] = val
-    return rows
-
-
 def _band_rows(band: tuple[np.ndarray, np.ndarray, np.ndarray], idx: np.ndarray,
                N: int) -> np.ndarray:
     """Dense rows idx (sorted, distinct) of the N-column matrix given by its band triples."""
@@ -289,6 +281,23 @@ def _band_rows(band: tuple[np.ndarray, np.ndarray, np.ndarray], idx: np.ndarray,
     out = np.zeros((idx.size, N))
     out[at[keep], col[lo:hi][keep]] = val[lo:hi][keep]
     return out
+
+
+def _axis_sigma_rows(f: SampledFunction, ks: np.ndarray) -> np.ndarray:
+    """Dense K x N matrix of the axis factors sigma_k(xi_m) on f's frequency axis."""
+    return _band_rows(_axis_sigma_band(f, ks), np.arange(ks.size), f.N)
+
+
+def _lp(x: np.ndarray, p, cell: float = 1.0, axis=None):
+    """(cell * sum x^p)^(1/p) of nonnegative x along axis, or the max at p = inf.
+
+    The one weighted l^p / L^p aggregation: the l^q sums of mod_norm and
+    stft_norm and the Riemann-sum block norms all go through it.
+    """
+    if p == math.inf:
+        return np.max(x, axis=axis)
+    p = float(p)
+    return (cell * np.sum(x**p, axis=axis)) ** (1.0 / p)
 
 
 def _check_mode(f: SampledFunction, mode: str):
@@ -379,8 +388,7 @@ def _cell_sums(f: SampledFunction, k_max: int, a: np.ndarray, power: int) -> np.
     row, col, val = _axis_sigma_band(f, ks)
     if f.n == 1:
         return np.bincount(row, weights=val**power * a[col], minlength=ks.size)
-    rows = np.zeros((ks.size, f.N))
-    rows[row, col] = val**power
+    rows = _band_rows((row, col, val**power), np.arange(ks.size), f.N)
     return rows @ a @ rows.T
 
 
@@ -418,7 +426,6 @@ def _ifft_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarray, np
     """
     F = f.spectrum
     phase, scale = _normalization(f.n, f.L, f.N)
-    vol = f.cell_volume
     ks = np.arange(-k_max, k_max + 1)
     if f.n == 1:
         band = _axis_sigma_band(f, ks)
@@ -437,11 +444,8 @@ def _ifft_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarray, np
             fac = rows[block[:, 0]][:, :, None] * rows[block[:, 1]][:, None, :]
             G = F[None, :, :] * fac
             vals = np.fft.ifft2(G * phase[None, :, :] / scale, axes=(1, 2))
-        a = np.abs(vals).reshape(len(block), -1)
-        if p == math.inf:
-            out[start : start + len(block)] = np.max(a, axis=1)
-        else:
-            out[start : start + len(block)] = (vol * np.sum(a ** float(p), axis=1)) ** (1.0 / float(p))
+        out[start : start + len(block)] = _lp(np.abs(vals).reshape(len(block), -1), p,
+                                              f.cell_volume, axis=1)
     return cells, out
 
 
@@ -475,12 +479,7 @@ def mod_norm_record(f: SampledFunction, params: NormParams) -> dict:
     cells, block = block_norms(f, k_max, params.p)
     value = 0.0
     if block.size:
-        terms = weight_eval(params.weight, cells) * block
-        if params.q == math.inf:
-            value = float(np.max(terms))
-        else:
-            q = float(params.q)
-            value = float(np.sum(terms**q) ** (1.0 / q))
+        value = float(_lp(weight_eval(params.weight, cells) * block, params.q))
     return {"params": params.to_dict(), "value": value,
             "truncation_tail": tail, "warnings": warns}
 
@@ -507,11 +506,7 @@ def stft_norm(f: SampledFunction, p, q, weight: WeightSpec,
 
     pts = _points(f.index_axis(), f.n) * (math.pi / f.L)
     terms = weight_eval(weight, pts).reshape(inner.shape) * inner
-    if q == math.inf:
-        return float(np.max(terms))
-    qf = float(q)
-    cell = (math.pi / f.L) ** f.n
-    return float((cell * np.sum(terms**qf)) ** (1.0 / qf))
+    return float(_lp(terms, q, (math.pi / f.L) ** f.n))
 
 
 def _stft_parseval_inner(f: SampledFunction, window: SampledFunction) -> np.ndarray:

@@ -65,37 +65,42 @@ def _e2(t):
     return out
 
 
+def _quotient_rule(u: list, D: list):
+    """Derivative of order len(u) - 1 (0, 1 or 2) of the quotient u/D.
+
+    u and D list the numerator's and the denominator's values and
+    derivatives up to that order, each factor evaluated once by the caller.
+    """
+    if len(u) == 1:
+        return u[0] / D[0]
+    first = u[1] * D[0] - u[0] * D[1]
+    if len(u) == 2:
+        return first / (D[0] * D[0])
+    return (u[2] * D[0] - u[0] * D[2]) / (D[0] * D[0]) - 2.0 * D[1] * first / (D[0] ** 3)
+
+
 def _h(t, order: int = 0):
     """Smooth step e(t)/(e(t)+e(1-t)): 0 for t<=0, 1 for t>=1.
 
     Derivatives (orders 1 and 2) come from the quotient rule with
     u = e(t), D = e(t) + e(1-t); they vanish identically outside (0,1).
     """
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     if order == 0:
         out[t >= 1.0] = 1.0
     inside = (t > 0.0) & (t < 1.0)
     ti = t[inside]
-    u = _e(ti)
-    v = _e(1.0 - ti)
-    D = u + v
-    if order == 0:
-        out[inside] = u / D
-        return out
-    u1 = _e1(ti)
-    v1 = _e1(1.0 - ti)
-    D1 = u1 - v1
-    if order == 1:
-        out[inside] = (u1 * D - u * D1) / (D * D)
-        return out
-    if order == 2:
-        u2 = _e2(ti)
-        v2 = _e2(1.0 - ti)
-        D2 = u2 + v2
-        out[inside] = (u2 * D - u * D2) / (D * D) - 2.0 * D1 * (u1 * D - u * D1) / (D**3)
-        return out
-    raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+    u, D = [], []
+    for j, e in enumerate((_e, _e1, _e2)[: order + 1]):
+        a, b = e(ti), e(1.0 - ti)
+        u.append(a)
+        # d^j/dt^j e(1 - t) = (-1)^j e^(j)(1 - t)
+        D.append(a - b if j == 1 else a + b)
+    out[inside] = _quotient_rule(u, D)
+    return out
 
 
 def rho1(xi, order: int = 0):
@@ -169,17 +174,8 @@ def _as_index(k, n: int) -> tuple:
 def _sigma_axis(x, k: int, order: int = 0):
     """One axis factor rho1(x-k)/S(x) and its first two derivatives."""
     x = np.asarray(x, dtype=float)
-    u = rho1(x - k)
-    S = _lattice_sum(x)
-    if order == 0:
-        return u / S
-    u1 = rho1(x - k, 1)
-    S1 = _lattice_sum(x, 1)
-    if order == 1:
-        return (u1 * S - u * S1) / (S * S)
-    u2 = rho1(x - k, 2)
-    S2 = _lattice_sum(x, 2)
-    return (u2 * S - u * S2) / (S * S) - 2.0 * S1 * (u1 * S - u * S1) / (S**3)
+    orders = range(order + 1)
+    return _quotient_rule([rho1(x - k, j) for j in orders], [_lattice_sum(x, j) for j in orders])
 
 
 def _outer(op, axes):

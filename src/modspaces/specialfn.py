@@ -450,14 +450,14 @@ def _log_weight(regime: str, lam: float, params: dict, xi: np.ndarray) -> np.nda
     """Log of the superposition weight applied to |xi|."""
     r = np.abs(xi)
     if regime == "gevrey":
-        s = float(params.get("s", 2.0))
+        s = float(params["s"])
         with np.errstate(divide="ignore", invalid="ignore"):
             out = lam * r ** (1.0 / s) * np.log(r)
         out[r == 0.0] = 0.0
         return out
     if regime == "loglog":
-        theta = float(params.get("theta", 1.5))
-        eps = float(params.get("eps", 0.5))
+        theta = float(params["theta"])
+        eps = float(params["eps"])
         return theta * w_star(lam * r ** (1.0 + eps))
     raise ValueError(f"unknown regime {regime!r}")
 

@@ -190,12 +190,12 @@ def _log_bound_shape(regime: str, v: np.ndarray, b: float,
     """log of the growth envelope shape (with c = 1) at norm values v."""
     v = np.asarray(v, dtype=float)
     if regime == "gevrey":
-        s = float(regime_params.get("s", 2.0))
+        s = float(regime_params["s"])
         big = np.maximum(v, 1.0)
         return np.log(v) + b * big ** (1.0 / s) * np.log(big)
     if regime == "loglog":
-        theta = float(regime_params.get("theta", 1.5))
-        N = float(regime_params.get("N", 1.0))
+        theta = float(regime_params["theta"])
+        N = float(regime_params["N"])
         return np.log(v) + theta * w_star(b * v ** (1.0 + 1.0 / N))
     raise ValueError(f"unknown regime {regime!r}")
 

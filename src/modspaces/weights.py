@@ -24,6 +24,7 @@ log domain so nothing overflows at radius ~1e6.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -268,79 +269,61 @@ def _sweep_gevrey(s: float, radius: int, n: int):
 
     Margin(k,l) = |l|^(1/s) + |l-k|^(1/s)
                   - delta*min(|l-k|,|l|)^(1/s) - |k|^(1/s),
-    delta = 2 - 2^(1/s).  Exponents depend only on squared radii, so a
-    lookup table over all attainable integer squared radii makes the
-    full |k|,|l| <= radius sweep cheap even in 2D.
+    delta = 2 - 2^(1/s).  Exponents depend only on squared radii, so
+    they are lookups into a table over every attainable integer squared
+    radius.  The margin depends on |k|^2, |l|^2 and |k-l|^2 only, and
+    the box is invariant under the 2^n n! signed permutations of the
+    axes applied to k and l together.  So k runs over the cone
+    radius >= k_1 >= ... >= k_n >= 0 and l over the whole box; chunks
+    of k cells are vectorized over all l.  The exponents of |k-l| over
+    the box are the window at radius - k of the table over every
+    difference, and since table is increasing,
+    table[min(D2, L2)] = min(table[D2], table[L2]).
     """
+    # imported here: partition imports this module
+    from .partition import _outer, _points
+
     delta = 2.0 - 2.0 ** (1.0 / s)
-    inv = 1.0 / s
-    max_sq = 4 * n * radius * radius  # |l-k|^2 can reach n*(2*radius)^2
-    table = np.arange(max_sq + 1, dtype=float) ** (0.5 * inv)
-
-    if n == 1:
-        k = np.arange(-radius, radius + 1)
-        l = k.copy()
-        K2 = (k * k)[:, None]
-        L2 = (l * l)[None, :]
-        D2 = (k[:, None] - l[None, :]) ** 2
-        margin = (
-            table[L2] + table[D2] - delta * table[np.minimum(D2, L2)] - table[K2]
-        )
-        idx = np.unravel_index(np.argmin(margin), margin.shape)
-        worst = (int(k[idx[0]]), int(l[idx[1]]))
-        return float(margin[idx]), worst, margin.size
-
-    # n == 2: the margin depends on |k|^2, |l|^2 and |k-l|^2 only, and
-    # the box is invariant under the 8 symmetries of the square applied
-    # to k and l together.  So k runs over the fundamental domain
-    # 0 <= ky <= kx <= radius and l over the whole box; chunks of k
-    # cells are vectorized over all l.  The exponents of |k-l| over the
-    # box are the window at (radius - kx, radius - ky) of the table over
-    # every difference, and since table is increasing,
-    # table[min(D2, L2)] = min(table[D2], table[L2]).
+    # |l-k|^2 can reach n*(2*radius)^2
+    table = np.arange(4 * n * radius * radius + 1, dtype=float) ** (0.5 * (1.0 / s))
     side = np.arange(-radius, radius + 1)
-    lx, ly = np.meshgrid(side, side, indexing="ij")
-    lx = lx.ravel()
-    ly = ly.ravel()
-    tL = table[lx * lx + ly * ly]
+    l = _points(side, n)
+    tL = table[_outer(np.add, [side * side] * n).ravel()]
     diff = np.arange(-2 * radius, 2 * radius + 1)
     windows = np.lib.stride_tricks.sliding_window_view(
-        table[diff[:, None] ** 2 + diff[None, :] ** 2], (side.size, side.size))
-    kx_all, ky_all = np.tril_indices(radius + 1)
+        table[_outer(np.add, [diff * diff] * n)], (side.size,) * n)
+    cone = _points(np.arange(radius + 1), n)
+    cone = cone[np.all(cone[:, :-1] >= cone[:, 1:], axis=1)]
     best = math.inf
-    ties = []  # (kx, ky, lx, ly) arrays of the cells at the running minimum
+    ties = []  # (k, l) rows of the cells at the running minimum
     chunk = 16
-    for start in range(0, kx_all.size, chunk):
-        kx = kx_all[start : start + chunk]
-        ky = ky_all[start : start + chunk]
-        tD = windows[radius - kx, radius - ky].reshape(kx.size, -1)
-        margin = tL + tD - delta * np.minimum(tD, tL) - table[kx * kx + ky * ky][:, None]
+    for start in range(0, len(cone), chunk):
+        k = cone[start : start + chunk]
+        tD = windows[tuple((radius - k).T)].reshape(len(k), -1)
+        margin = tL + tD - delta * np.minimum(tD, tL) - table[np.sum(k * k, axis=1)][:, None]
         m = float(np.min(margin))
         if m > best:
             continue
         if m < best:
             best, ties = m, []
         i, j = np.nonzero(margin == m)
-        ties.append((kx[i], ky[i], lx[j], ly[j]))
-    return best, _first_image(ties), (2 * radius + 1) ** 4
+        ties.append(np.concatenate([k[i], l[j]], axis=1))
+    return best, _first_image(np.concatenate(ties), n), side.size ** (2 * n)
 
 
-def _first_image(ties) -> tuple:
-    """Lexicographically smallest image of the tied cells under the square's symmetries.
+def _first_image(ties: np.ndarray, n: int) -> tuple:
+    """Lexicographically smallest image of the tied (k, l) rows under the box's symmetries.
 
-    Every full-box minimizer is the image of a fundamental-domain
-    minimizer under one of the 8 maps (x, y) -> (+-x, +-y) or (+-y, +-x)
-    applied to k and l together, and C order over the box is
-    lexicographic order on (kx, ky, lx, ly).  So this is the first
-    minimizer the full sweep would meet.
+    Every full-box minimizer is the image of a cone minimizer under one
+    of the 2^n n! signed axis permutations applied to k and l together,
+    and C order over the box is lexicographic order on (k, l).  So this
+    is the first minimizer the full sweep would meet.
     """
-    kx, ky, lx, ly = (np.concatenate(a) for a in zip(*ties))
     images = []
-    for swap in (False, True):
-        ax, ay, bx, by = (ky, kx, ly, lx) if swap else (kx, ky, lx, ly)
-        for sx in (1, -1):
-            for sy in (1, -1):
-                images.append(np.stack([sx * ax, sy * ay, sx * bx, sy * by], axis=1))
+    for perm in itertools.permutations(range(n)):
+        cols = list(perm) + [n + a for a in perm]
+        for signs in itertools.product((1, -1), repeat=n):
+            images.append(ties[:, cols] * np.array(signs + signs))
     return min(map(tuple, np.concatenate(images).tolist()))
 
 

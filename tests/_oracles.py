@@ -10,6 +10,7 @@ against these values rather than against other package output.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import mpmath as mp
@@ -183,36 +184,30 @@ def lp_norm(f: SampledFunction, p) -> float:
     return float((f.cell_volume * np.sum(a**p)) ** (1.0 / p))
 
 
-def sweep_gevrey_2d_full_box(s: float, radius: int):
-    """(min_margin, worst_point, points_checked) over the full 2-d box.
+def sweep_gevrey_full_box(s: float, radius: int, n: int):
+    """(min_margin, worst_point, points_checked) over the full n-d box.
 
     Every k cell of |k|_inf <= radius in C order, in chunks of 128,
     each vectorized over all l; the first C-order minimizer wins.
     """
     delta = 2.0 - 2.0 ** (1.0 / s)
-    table = np.arange(8 * radius * radius + 1, dtype=float) ** (0.5 * (1.0 / s))
-    side = np.arange(-radius, radius + 1)
-    lx, ly = np.meshgrid(side, side, indexing="ij")
-    lx = lx.ravel()
-    ly = ly.ravel()
-    L2 = lx * lx + ly * ly
+    table = np.arange(4 * n * radius * radius + 1, dtype=float) ** (0.5 * (1.0 / s))
+    cells = np.array(list(itertools.product(range(-radius, radius + 1), repeat=n)))
+    L2 = np.sum(cells * cells, axis=1)
     tL = table[L2]
-    best = (math.inf, (0, 0, 0, 0))
+    best = (math.inf, ())
     count = 0
     chunk = 128
-    cells = [(int(a), int(b)) for a in side for b in side]
     for start in range(0, len(cells), chunk):
-        block = cells[start : start + chunk]
-        kx = np.array([c[0] for c in block])[:, None]
-        ky = np.array([c[1] for c in block])[:, None]
-        K2 = kx * kx + ky * ky
-        D2 = (kx - lx[None, :]) ** 2 + (ky - ly[None, :]) ** 2
+        k = cells[start : start + chunk]
+        K2 = np.sum(k * k, axis=1)[:, None]
+        D2 = sum((k[:, a, None] - cells[None, :, a]) ** 2 for a in range(n))
         margin = tL[None, :] + table[D2] - delta * table[np.minimum(D2, L2[None, :])] - table[K2]
         count += margin.size
         i, j = np.unravel_index(np.argmin(margin), margin.shape)
         m = float(margin[i, j])
         if m < best[0]:
-            best = (m, (int(kx[i, 0]), int(ky[i, 0]), int(lx[j]), int(ly[j])))
+            best = (m, tuple(int(v) for v in k[i]) + tuple(int(v) for v in cells[j]))
     return best[0], best[1], count
 
 

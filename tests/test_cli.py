@@ -167,9 +167,24 @@ def test_config_is_checked_whole_before_any_family_runs(capsys, tmp_path, comman
      "'measure_lams'"),
     (("superposition", "quick"), {"superposition": {"lambdas": []}}, "'lambdas'"),
     (("weights", "quick"), {"weights": {"gevrey_s": []}}, "'gevrey_s'"),
+    (("weights", "quick"), {"weights": {"gevrey_radius_1d": -3}}, "'gevrey_radius_1d'"),
+    (("weights", "quick"), {"weights": {"gevrey_radius_2d": -1}}, "'gevrey_radius_2d'"),
+    (("weights", "quick"), {"weights": {"loglog_grid_max": -5.0}}, "'loglog_grid_max'"),
+    (("weights", "quick"), {"weights": {"loglog_step": 0.0}}, "'loglog_step'"),
+    (("weights", "quick"), {"weights": {"loglog_step": -1.0}}, "'loglog_step'"),
+    (("weights", "quick"), {"weights": {"loglog_step": math.nan}}, "'loglog_step'"),
+    (("weights", "quick"), {"weights": {"loglog_random": -5}}, "'loglog_random'"),
+    (("weights", "quick"), {"weights": {"elementary_points": 0}}, "'elementary_points'"),
+    (("superposition", "quick"), {"superposition": {"product_N": 0}}, "'product_N'"),
+    (("superposition", "quick"), {"superposition": {"lambdas": [-2.0]}}, "'lambdas'"),
+    (("superposition", "quick"), {"superposition": {"measure_lams": [-1.0]}},
+     "'measure_lams'"),
 ], ids=["loglog-R-empty", "loglog-R-decreasing", "loglog-R-one-rung",
         "loglog-R-one-rung-quick", "loglog-R-zero", "no-pairs", "no-fixtures",
-        "no-dims", "no-weights", "no-measure-lams", "no-lambdas", "no-gevrey-s"])
+        "no-dims", "no-weights", "no-measure-lams", "no-lambdas", "no-gevrey-s",
+        "radius-1d-negative", "radius-2d-negative", "grid-max-negative", "step-zero",
+        "step-negative", "step-nan", "random-negative", "no-elementary-points",
+        "no-product-factors", "lambda-negative", "measure-lam-negative"])
 def test_config_value_leaving_nothing_to_test_is_usage_error(capsys, tmp_path,
                                                              command, config, named):
     cfg = tmp_path / "cfg.json"

@@ -243,10 +243,12 @@ def test_choose_R_validation():
     with pytest.raises(ValueError):
         choose_R("gevrey", 0.5)
     with pytest.raises(ValueError):
-        choose_R("gevrey", 2.0, {"s": 1.0})
+        choose_R("gevrey", 2.0, {"s": 1.0, "q": 2.0, "n": 1})
     with pytest.raises(ValueError):
         choose_R("gevrey", 2.0, {"s": 2.0, "q": 1.0})
     with pytest.raises(ValueError):
         choose_R("loglog", 2.0, {"N": 0})
     with pytest.raises(ValueError):
         choose_R("other", 2.0)
+    with pytest.raises(KeyError, match="n"):
+        choose_R("gevrey", 2.0, {"s": 2.0, "q": 2.0})

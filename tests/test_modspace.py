@@ -1,6 +1,9 @@
 """Sampled functions, spectra, decomposition and short-time norms."""
 
+import itertools
+import json
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -25,7 +28,7 @@ from modspaces.modspace import (
     stft_norm,
     synthesize,
 )
-from modspaces.partition import _sigma_axis
+from modspaces.partition import _sigma_axis, build_window, sigma_partial
 from modspaces.weights import WeightSpec, weight_eval
 
 import _oracles as orc
@@ -439,6 +442,64 @@ def test_norm_params_to_dict_tokens():
     d = NormParams(math.inf, 2.0, WeightSpec.gevrey(1.5)).to_dict()
     assert d["p"] == "inf" and d["q"] == 2.0
     assert d["weight"] == {"variant": "gevrey", "s": 1.5}
+
+
+_PINS = pathlib.Path(__file__).parent / "data" / "norm_layer_pins.json"
+_PIN_GRIDS = [(1, 256, PI, 20.0), (1, 512, 3.5, 20.0), (2, 32, PI, 6.0), (2, 32, 2.8, 6.0)]
+_PIN_WEIGHTS = {"gevrey:2": WeightSpec.gevrey(2.0), "loglog": WeightSpec.loglog(),
+                "polynomial:1.5": WeightSpec.polynomial(1.5)}
+
+
+def _token(v) -> str:
+    return "inf" if v == math.inf else f"{v:g}"
+
+
+def norm_layer_values() -> dict:
+    """float.hex of mod_norm and stft_norm over the pinned grids, and of sigma_partial.
+
+    The recorded file was written by this function; rewrite it with
+    `json.dump(norm_layer_values(), fh, indent=1, sort_keys=True)` only
+    when a change of the norm layer is meant to move its floats.
+    """
+    norms = {}
+    for n, N, L, B in _PIN_GRIDS:
+        window = synthesize("gaussian", n=n, L=L, N=N)
+        modes = ("lattice", "continuum") if L == PI else ("continuum",)
+        for seed in (0, 1):
+            f = synthesize("random_bandlimited", n=n, L=L, N=N, B=B, seed=seed)
+            for wname, spec in _PIN_WEIGHTS.items():
+                at = f"n={n} N={N} L={L!r} seed={seed} {wname}"
+                for q in (1.0, 2.0, math.inf):
+                    for p in (1.0, 2.0, 3.0, math.inf):
+                        for mode in modes:
+                            value = mod_norm(f, NormParams(p, q, spec, mode=mode))
+                            norms[f"mod_norm {at} p={_token(p)} q={_token(q)} {mode}"] = value.hex()
+                    for p in (2.0, math.inf):
+                        value = stft_norm(f, p, q, spec, window)
+                        norms[f"stft_norm {at} p={_token(p)} q={_token(q)}"] = value.hex()
+    sigma = {}
+    for n, ks, axis in [(1, [(0,), (1,), (-2,)], np.linspace(-2.5, 2.5, 41)),
+                        (2, [(0, 0), (1, -2)], np.linspace(-2.5, 2.5, 9))]:
+        w = build_window(n)
+        xi = np.array(list(itertools.product(axis, repeat=n)))
+        for k in ks:
+            for alpha in itertools.product(range(3), repeat=n):
+                values = np.atleast_1d(sigma_partial(w, k, xi, alpha))
+                sigma[f"n={n} k={k} alpha={alpha}"] = [float(v).hex() for v in values]
+    return {"norms": norms, "sigma_partial": sigma}
+
+
+@pytest.mark.filterwarnings("ignore::modspaces.modspace.TruncationWarning")
+def test_norm_layer_floats_match_the_recorded_pins():
+    # every norm and partition derivative bit for bit as recorded, so a
+    # change that merges their code paths cannot move one float
+    with open(_PINS) as fh:
+        recorded = json.load(fh)
+    got = norm_layer_values()
+    for section in ("norms", "sigma_partial"):
+        assert got[section].keys() == recorded[section].keys()
+        moved = [key for key in got[section] if got[section][key] != recorded[section][key]]
+        assert not moved, f"{len(moved)} {section} pins moved, first {moved[0]}"
 
 
 @settings(max_examples=20, deadline=None)

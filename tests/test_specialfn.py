@@ -326,6 +326,9 @@ def test_measure_validation():
         measure_L1("gevrey", g, 0.0, {"s": 2.0})
     with pytest.raises(ValueError):
         measure_L1("other", g, 1.0)
+    # every regime key must be given: none has a silent default
+    with pytest.raises(KeyError, match="eps"):
+        measure_L1("loglog", g, 1.0, {"theta": 1.5})
 
 
 # ----------------------------------------------------------------------

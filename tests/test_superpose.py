@@ -227,6 +227,9 @@ def test_fit_growth_envelope_validation():
         fit_growth_envelope([0.0, 1.0], [1.0, 1.0], "gevrey")
     with pytest.raises(ValueError):
         fit_growth_envelope([1.0], [1.0], "weird")
+    # measure_L1's loglog keys name no N: the envelope must not default it
+    with pytest.raises(KeyError, match="N"):
+        fit_growth_envelope([1.0, 2.0], [1.0, 2.0], "loglog", {"theta": 1.5, "eps": 0.5})
 
 
 @pytest.mark.parametrize(

@@ -202,15 +202,21 @@ def test_sweep_gevrey_2d_small():
     assert len(rep.worst_point) == 4
 
 
-@pytest.mark.parametrize("radius", [0, 1, 2, 7, 16])
+# (n, radius): the 2-d cases keep their bare radius as id
+_FULL_BOX_CASES = ([(2, r) for r in (0, 1, 2, 7, 16, 40)]
+                   + [(1, r) for r in (0, 1, 2, 50, 200)])
+
+
+@pytest.mark.parametrize("n, radius", _FULL_BOX_CASES,
+                         ids=[str(r) if n == 2 else f"1d-{r}" for n, r in _FULL_BOX_CASES])
 @pytest.mark.parametrize("s", [1.2, 1.5, 2.0, 3.0])
-def test_sweep_gevrey_2d_matches_full_box(s, radius):
-    # fundamental-domain sweep against the full-box loop, exactly
-    rep = verify_weight_inequality("gevrey", {"s": s}, {"radius": radius, "n": 2})
-    margin, worst, count = orc.sweep_gevrey_2d_full_box(s, radius)
+def test_sweep_gevrey_2d_matches_full_box(s, n, radius):
+    # cone sweep against the full-box loop, exactly, in both dimensions
+    rep = verify_weight_inequality("gevrey", {"s": s}, {"radius": radius, "n": n})
+    margin, worst, count = orc.sweep_gevrey_full_box(s, radius, n)
     assert rep.min_margin == margin
     assert rep.worst_point == worst
-    assert rep.points_checked == count == (2 * radius + 1) ** 4
+    assert rep.points_checked == count == (2 * radius + 1) ** (2 * n)
 
 
 @pytest.mark.parametrize("grid_max, step, n_random", [
