@@ -31,6 +31,7 @@ import json
 import math
 import os
 import platform
+import reprlib
 import sys
 import time
 
@@ -162,71 +163,39 @@ def _check(kind: str, passed: bool, margin: float, detail: dict) -> dict:
             "min_margin": float(margin), **detail}
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _finite(v) -> bool:
+    """Whether v is a number whose float is finite; an int beyond the float range is not."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
-def _typed_like(default, value) -> bool:
-    """Whether a config value has the type of a profile default.
-
-    A float takes any number and a list a list of numbers or of strings,
-    like its entries; any other type takes only itself (an int no bool).
-    """
-    if isinstance(default, list):
-        entry = (int, float) if _is_number(default[0]) else str
-        return isinstance(value, list) and all(
-            isinstance(v, entry) and not isinstance(v, bool) for v in value)
-    if isinstance(default, float):
-        return _is_number(value)
-    return type(value) is type(default)
+def _int_in(lo: int, hi: float = math.inf):
+    """A test for an int in [lo, hi] whose float is finite."""
+    return lambda v: type(v) is int and _finite(v) and lo <= v <= hi
 
 
-# Each config family's quick and full profile defaults.  A --config file
-# may override exactly these keys, with a value typed like the defaults'
-# (null where one profile's default is null); corpus generation always
-# takes the "full" entry.
-_CORPUS_DEFAULTS = {"N": 256, "L": math.pi, "n": 1,
-                    "bands": [10.0, 25.0, 40.0, 55.0]}
-_PROFILES = {
-    "weights": {
-        "quick": {"gevrey_s": [1.5, 2.0], "gevrey_radius_1d": 50,
-                  "gevrey_radius_2d": 0, "loglog_grid_max": 500.0,
-                  "loglog_step": 2.0, "loglog_random": 20_000,
-                  "sharpness_probe": False, "elementary_points": 50_001},
-        "full": {"gevrey_s": [1.2, 1.5, 2.0, 3.0], "gevrey_radius_1d": 200,
-                 "gevrey_radius_2d": 40, "loglog_grid_max": 2000.0,
-                 "loglog_step": 0.5, "loglog_random": 100_000,
-                 "sharpness_probe": True, "elementary_points": 200_001},
-    },
-    "partition": {"quick": {"dims": [1]}, "full": {"dims": [1, 2]}},
-    "algebra": {
-        "quick": {"n_pairs": 10, "weights": ["gevrey"]},
-        "full": {"n_pairs": 50, "weights": ["gevrey", "loglog", "polynomial"]},
-    },
-    "subalgebra": {"quick": {"loglog_R": None},
-                   "full": {"loglog_R": [4, 16, 64, 256, 512]}},
-    "superposition": {
-        "quick": {"n_fixtures": 2, "lambdas": [2.0, 4.0, 8.0],
-                  "measure_lams": [1.0], "product_N": 6},
-        "full": {"n_fixtures": 5, "lambdas": [2.0, 4.0, 8.0, 16.0],
-                 "measure_lams": [0.1, 1.0, 10.0], "product_N": 8},
-    },
-    "corpus": {"quick": _CORPUS_DEFAULTS, "full": _CORPUS_DEFAULTS},
-}
+def _positive(v) -> bool:
+    return _finite(v) and v > 0
 
-# families whose settings a --config file may override
-_CONFIG_FAMILIES = tuple(sorted(_PROFILES))
 
-# lower bounds of the numeric config keys (a list's every entry): sizes
-# and rates take a finite value > 0; the keys where 0 skips a check, >= 0
-_CONFIG_FLOORS = {
-    ("weights", "gevrey_radius_1d"): ">", ("weights", "gevrey_radius_2d"): ">=",
-    ("weights", "loglog_grid_max"): ">", ("weights", "loglog_step"): ">",
-    ("weights", "loglog_random"): ">=", ("weights", "elementary_points"): ">",
-    ("algebra", "n_pairs"): ">", ("superposition", "n_fixtures"): ">",
-    ("superposition", "product_N"): ">", ("superposition", "lambdas"): ">",
-    ("superposition", "measure_lams"): ">",
-}
+def _value(what: str, ok) -> tuple:
+    """The rule (what, test) of a key whose value ok accepts; the test
+    returns None for a value it takes, else the value shown in one line."""
+    return what, lambda v: None if ok(v) else reprlib.repr(v)
+
+
+def _entries(what: str, ok) -> tuple:
+    """The rule of a key taking a non-empty list of entries that ok
+    accepts; its test shows a value that is no such list, or the list's
+    first failing entry."""
+    def test(v):
+        if not isinstance(v, list) or not v:
+            return reprlib.repr(v)
+        return next((f"entry {reprlib.repr(e)}" for e in v if not ok(e)), None)
+    return f"a non-empty list of {what}", test
+
 
 # the weights an "algebra" config may name
 _ALGEBRA_WEIGHTS = {
@@ -235,10 +204,60 @@ _ALGEBRA_WEIGHTS = {
     "polynomial": WeightSpec.polynomial(s=2.0),
 }
 
+_SIZE = _value("an integer > 0", _int_in(1))
+_SIZE_OR_SKIP = _value("an integer >= 0 (0 skips)", _int_in(0))
+_POSITIVE_NUMBER = _value("a number > 0", _positive)
+
+# The --config keys: family -> key -> (quick profile default, full
+# profile default, (what the key takes, test)).  A config may set exactly
+# these keys; corpus generation always takes the full column.
+_CONFIG = {
+    "weights": {
+        "gevrey_s": ([1.5, 2.0], [1.2, 1.5, 2.0, 3.0],
+                     _entries("numbers > 1", lambda s: _finite(s) and s > 1)),
+        "gevrey_radius_1d": (50, 200, _SIZE),
+        "gevrey_radius_2d": (0, 40, _SIZE_OR_SKIP),
+        "loglog_grid_max": (500.0, 2000.0, _POSITIVE_NUMBER),
+        "loglog_step": (2.0, 0.5, _POSITIVE_NUMBER),
+        "loglog_random": (20_000, 100_000, _SIZE_OR_SKIP),
+        "sharpness_probe": (False, True, _value("true or false", lambda b: isinstance(b, bool))),
+        "elementary_points": (50_001, 200_001, _SIZE),
+    },
+    "partition": {"dims": ([1], [1, 2], _entries("integers 1 or 2", _int_in(1, 2)))},
+    "algebra": {
+        "n_pairs": (10, 50, _SIZE),
+        "weights": (["gevrey"], ["gevrey", "loglog", "polynomial"],
+                    _entries("the names " + ", ".join(_ALGEBRA_WEIGHTS),
+                             lambda w: isinstance(w, str) and w in _ALGEBRA_WEIGHTS)),
+    },
+    # a ladder needs two rungs to decay between
+    "subalgebra": {"loglog_R": (None, [4, 16, 64, 256, 512], _value(
+        "null or at least 2 strictly increasing numbers > 0",
+        lambda R: R is None or (isinstance(R, list) and len(R) >= 2 and all(map(_positive, R))
+                                and all(a < b for a, b in zip(R, R[1:])))))},
+    "superposition": {
+        "n_fixtures": (2, 5, _SIZE),
+        "lambdas": ([2.0, 4.0, 8.0], [2.0, 4.0, 8.0, 16.0], _entries("numbers > 0", _positive)),
+        "measure_lams": ([1.0], [0.1, 1.0, 10.0], _entries("numbers > 0", _positive)),
+        # 20 caps product_identity_check's subset enumeration
+        "product_N": (6, 8, _value("an integer in [1, 20]", _int_in(1, 20))),
+    },
+    "corpus": {
+        "N": (256, 256, _value("a power of two >= 2",
+                               lambda N: _int_in(2)(N) and N & (N - 1) == 0)),
+        "L": (math.pi, math.pi, _POSITIVE_NUMBER),
+        "n": (1, 1, _value("1 or 2", _int_in(1, 2))),
+        "bands": ([10.0, 25.0, 40.0, 55.0], [10.0, 25.0, 40.0, 55.0],
+                  _entries("numbers >= 0", lambda B: _finite(B) and B >= 0)),
+    },
+}
+
 
 def _family_settings(profile: str, config: dict, family: str) -> dict:
     """The profile's defaults for one family, overridden by its config keys."""
-    return {**_PROFILES[family][profile], **config.get(family, {})}
+    column = ("quick", "full").index(profile)
+    return {**{key: row[column] for key, row in _CONFIG[family].items()},
+            **config.get(family, {})}
 
 
 # ---------------------------------------------------------------------------
@@ -733,11 +752,11 @@ def _report_tuple(check, fallback_prefix: str):
         raise ValueError(f"{fallback_prefix}: a check must be a JSON object")
     kind = str(check.get("kind", "unknown"))
     rid = check.get("id", f"{fallback_prefix}:{kind}")
-    passed = check["passed"]
+    passed = check.get("passed")
     if not isinstance(passed, bool):
         raise ValueError(f"{rid}: \"passed\" must be true or false")
     margin = check.get("min_margin", 0.0)
-    if not (_is_number(margin) or margin in ("inf", "-inf", "nan")):
+    if not (isinstance(margin, float) or _finite(margin) or margin in ("inf", "-inf", "nan")):
         raise ValueError(f"{rid}: \"min_margin\" must be a number "
                          "or \"inf\", \"-inf\", \"nan\"")
     return (str(rid), kind, passed, float(margin))
@@ -754,7 +773,7 @@ def cmd_report_merge(args, config: dict) -> int:
             with open(path) as fh:
                 doc = json.load(fh)
             rows.extend(list(_extract_reports(doc, os.path.splitext(name)[0])))
-        except (ValueError, KeyError, OSError) as exc:
+        except (ValueError, RecursionError, OSError) as exc:
             malformed.append({"file": name, "error": str(exc)})
             _say(f"warning: skipping malformed report {name}: {exc}")
 
@@ -852,55 +871,26 @@ def _config_problem(config) -> str | None:
     """What is wrong with a parsed config, or None when nothing is.
 
     Every family in the config is checked, whichever command runs: its
-    name, that it maps to an object, each key and value type against
-    the profile defaults in _PROFILES, the algebra weight names, the
-    subalgebra ladders' radii, the lower bounds in _CONFIG_FLOORS, and
-    that no list is empty.
+    name, that it maps to an object, and each key and value against the
+    key's row of _CONFIG.
     """
     if not isinstance(config, dict):
         return "must be a JSON object keyed by family name"
     for family, overrides in sorted(config.items()):
-        if family not in _CONFIG_FAMILIES:
+        if family not in _CONFIG:
             return (f"unknown family {family!r}; known families: "
-                    f"{', '.join(_CONFIG_FAMILIES)}")
+                    f"{', '.join(sorted(_CONFIG))}")
         if not isinstance(overrides, dict):
             return f"family {family!r} must map to a JSON object"
-        quick, full = _PROFILES[family]["quick"], _PROFILES[family]["full"]
-        unknown = sorted(set(overrides) - set(quick))
-        if unknown:
-            return (f"unknown key {unknown[0]!r} in family {family!r}; "
-                    f"known keys: {', '.join(sorted(quick))}")
+        rows = _CONFIG[family]
         for key, value in sorted(overrides.items()):
-            defaults = (quick[key], full[key])
-            typed = next(d for d in defaults if d is not None)
-            if not (None in defaults if value is None else _typed_like(typed, value)):
-                like = json.dumps(typed) + (" or null" if None in defaults else "")
-                return (f"key {key!r} in family {family!r} takes a value "
-                        f"typed like {like}, not {json.dumps(value)}")
-    for name in config.get("algebra", {}).get("weights", []):
-        if name not in _ALGEBRA_WEIGHTS:
-            return (f"key 'weights' in family 'algebra' names unknown weight "
-                    f"{name!r}; known: {', '.join(_ALGEBRA_WEIGHTS)}")
-    # values that would leave a check nothing to test: a ladder needs
-    # two rungs to decay between, a corpus at least one member
-    radii = config.get("subalgebra", {}).get("loglog_R")
-    if radii is not None and not (
-            len(radii) >= 2 and radii[0] > 0
-            and all(a < b for a, b in zip(radii, radii[1:]))):
-        return ("key 'loglog_R' in family 'subalgebra' takes at least 2 "
-                f"strictly increasing positive radii, not {json.dumps(radii)}")
-    for (family, key), floor in _CONFIG_FLOORS.items():
-        value = config.get(family, {}).get(key)
-        entries = value if isinstance(value, list) else [value]
-        if value is not None and not all(
-                math.isfinite(v) and (v > 0 if floor == ">" else v >= 0) for v in entries):
-            return (f"key {key!r} in family {family!r} takes finite values {floor} 0, "
-                    f"not {json.dumps(value)}")
-    for family, overrides in sorted(config.items()):
-        for key, value in sorted(overrides.items()):
-            if value == []:
-                return (f"key {key!r} in family {family!r} takes at least "
-                        f"one entry, not []")
+            if key not in rows:
+                return (f"unknown key {key!r} in family {family!r}; "
+                        f"known keys: {', '.join(sorted(rows))}")
+            what, test = rows[key][2]
+            rejected = test(value)
+            if rejected is not None:
+                return f"key {key!r} in family {family!r} takes {what}, not {rejected}"
     return None
 
 
@@ -912,7 +902,7 @@ def main(argv=None) -> int:
         try:
             with open(args.config) as fh:
                 config = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             _say(f"error: cannot read config {args.config}: {exc}")
             return 2
         problem = _config_problem(config)

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .weights import analyze_weight, w_star
+from .weights import _regime_param, analyze_weight, w_star
 
 __all__ = [
     "upper_incomplete_gamma",
@@ -167,7 +167,7 @@ def constant_c4(regime: str, n: int, s: float | None = None) -> float:
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def choose_R(regime: str, norm_u: float, params: dict | None = None) -> float:
+def choose_R(regime: str, norm_u: float, params: dict) -> float:
     """Truncation radius balancing the tail against the norm growth.
 
     gevrey: solves
@@ -180,24 +180,23 @@ def choose_R(regime: str, norm_u: float, params: dict | None = None) -> float:
     norm_u <= 1 is rejected: the estimates pin R = 3 there and callers
     use that constant directly.
     """
-    params = dict(params or {})
     if norm_u <= 1.0:
         raise ValueError("choose_R requires norm_u > 1 (use R = 3 below)")
     if regime == "loglog":
-        N = int(params["N"])
+        N = int(_regime_param(params, regime, "N"))
         if N < 1:
             raise ValueError("N must be a positive integer")
         return 2.0 * norm_u ** (1.0 / N)
     if regime == "gevrey":
-        s = float(params["s"])
-        q = float(params["q"])
+        s = float(_regime_param(params, regime, "s"))
+        q = float(_regime_param(params, regime, "q"))
         if s <= 1.0:
             raise ValueError("gevrey regime requires s > 1")
         if q <= 1.0:
             raise ValueError("gevrey choose_R requires q > 1 (q' finite)")
         qp = _conjugate(q)
         delta = 2.0 - 2.0 ** (1.0 / s)
-        n = int(params["n"])
+        n = int(_regime_param(params, regime, "n"))
         target = math.gamma(s * n) * norm_u ** (qp * (1.0 / s - 1.0))
         x = inverse_g(s * n, target)
         return 2.0 + (x / (delta * qp)) ** s

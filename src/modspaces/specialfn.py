@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import w_star
+from .weights import _regime_param, w_star
 
 __all__ = [
     "gevrey_bump",
@@ -450,14 +450,14 @@ def _log_weight(regime: str, lam: float, params: dict, xi: np.ndarray) -> np.nda
     """Log of the superposition weight applied to |xi|."""
     r = np.abs(xi)
     if regime == "gevrey":
-        s = float(params["s"])
+        s = float(_regime_param(params, regime, "s"))
         with np.errstate(divide="ignore", invalid="ignore"):
             out = lam * r ** (1.0 / s) * np.log(r)
         out[r == 0.0] = 0.0
         return out
     if regime == "loglog":
-        theta = float(params["theta"])
-        eps = float(params["eps"])
+        theta = float(_regime_param(params, regime, "theta"))
+        eps = float(_regime_param(params, regime, "eps"))
         return theta * w_star(lam * r ** (1.0 + eps))
     raise ValueError(f"unknown regime {regime!r}")
 
@@ -479,7 +479,7 @@ _ML1_DYADIC = 25
 
 
 def measure_L1(regime: str, density: Density, lam: float,
-               params: dict | None = None) -> dict:
+               params: dict) -> dict:
     """Weighted density integral int w(xi) |g(xi)| dxi over the line.
 
     regime "gevrey" (params {"s": > 1}): w = exp(lam |xi|^(1/s) log|xi|).
@@ -500,7 +500,6 @@ def measure_L1(regime: str, density: Density, lam: float,
     to inf while log_value stays finite; finiteness claims should test
     converged, not the float.
     """
-    params = dict(params or {})
     if lam <= 0:
         raise ValueError("lam must be positive")
 

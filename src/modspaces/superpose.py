@@ -38,7 +38,7 @@ from .modspace import (
 )
 from .partition import _outer
 from .specialfn import Density, gevrey_bump, up_eval
-from .weights import WeightSpec, w_star, weight_eval
+from .weights import WeightSpec, _regime_param, w_star, weight_eval
 
 __all__ = [
     "PhaseSplit",
@@ -190,18 +190,18 @@ def _log_bound_shape(regime: str, v: np.ndarray, b: float,
     """log of the growth envelope shape (with c = 1) at norm values v."""
     v = np.asarray(v, dtype=float)
     if regime == "gevrey":
-        s = float(regime_params["s"])
+        s = float(_regime_param(regime_params, regime, "s"))
         big = np.maximum(v, 1.0)
         return np.log(v) + b * big ** (1.0 / s) * np.log(big)
     if regime == "loglog":
-        theta = float(regime_params["theta"])
-        N = float(regime_params["N"])
+        theta = float(_regime_param(regime_params, regime, "theta"))
+        N = float(_regime_param(regime_params, regime, "N"))
         return np.log(v) + theta * w_star(b * v ** (1.0 + 1.0 / N))
     raise ValueError(f"unknown regime {regime!r}")
 
 
 def fit_growth_envelope(norms, lhs_values, regime: str,
-                        regime_params: dict | None = None) -> dict:
+                        regime_params: dict) -> dict:
     """One-sided Chebyshev fit of c * shape(v; b) >= lhs over all points.
 
     For each b on a fixed grid (80 geometric points on [1e-3, 10]),
@@ -215,7 +215,6 @@ def fit_growth_envelope(norms, lhs_values, regime: str,
     holds in linear arithmetic as well, not just for the fitted
     logarithms.
     """
-    regime_params = dict(regime_params or {})
     vs = np.asarray(norms, dtype=float)
     lhss = np.asarray(lhs_values, dtype=float)
     if vs.shape != lhss.shape or vs.size == 0:
@@ -246,7 +245,7 @@ def fit_growth_envelope(norms, lhs_values, regime: str,
 
 
 def bound_scan(u: SampledFunction, params: NormParams, regime: str,
-               lambdas, *, regime_params: dict | None = None) -> dict:
+               lambdas, *, regime_params: dict) -> dict:
     """Scan lambda -> ||e^{i lambda u} - 1|| against a fitted envelope.
 
     For each lambda the left side L = ||e^{i lambda u} - 1|| and the
@@ -262,7 +261,7 @@ def bound_scan(u: SampledFunction, params: NormParams, regime: str,
     row (lambda, norm_u, lhs, fitted_bound, residual) per lambda; all
     residuals are nonnegative by construction of the fit.
     """
-    regime_params = dict(regime_params or {})
+    regime_params = dict(regime_params)
     lambdas = [float(l) for l in lambdas]
 
     vs, lhss = [], []

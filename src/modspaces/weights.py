@@ -416,6 +416,13 @@ def _check_sweep_keys(kind: str, params: dict, domain: dict) -> None:
                              f"its {what} keys: {', '.join(allowed) or 'none'}")
 
 
+def _regime_param(params: dict, regime: str, key: str):
+    """params[key]; a ValueError naming the key when params lacks it."""
+    if key not in params:
+        raise ValueError(f"{regime} regime needs parameter {key!r}")
+    return params[key]
+
+
 def verify_weight_inequality(kind: str, params: dict,
                              domain: dict) -> VerificationReport:
     """Sweep one of the three weight inequalities and report margins.

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modspaces.cli import main
+from modspaces.cli import _CONFIG, _config_problem, main
 from modspaces.modspace import SampledFunction, load_function, save_function
 
 
@@ -99,6 +99,16 @@ def test_config_syntax_error_is_usage_error(capsys, tmp_path):
     assert "config" in err
 
 
+def test_config_nested_too_deep_is_usage_error(capsys, tmp_path):
+    # json.load raised RecursionError, a traceback with exit 1
+    cfg = tmp_path / "deep.json"
+    cfg.write_text('{"corpus": {"bands": ' + "[" * 100_000 + "]" * 100_000 + "}}")
+    code, doc, err = run_cli(capsys, "--config", str(cfg), "verify", "constants")
+    assert code == 2
+    assert doc is None
+    assert err.startswith("error: cannot read config") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("config, named", [
     ({"algebra": {"n_pairs": 2}, "algebr": {}}, "'algebr'"),
     ({"algebra": {"n_pair": 2}}, "'n_pair'"),
@@ -141,7 +151,19 @@ def test_config_value_of_wrong_type_is_usage_error(capsys, tmp_path, family,
     (("verify", "partition"), {"superposition": {"lambdas": "x"}}, "'lambdas'"),
     (("verify", "constants"), {"algebra": {"weights": ["nope"]}}, "'nope'"),
     (("verify", "constants"), {"corpus": {"bands": []}}, "'bands'"),
-], ids=["unknown-key", "wrong-type", "unknown-weight", "no-bands"])
+    (("verify", "constants"), {"corpus": {"n": 5}}, "'n'"),
+    (("verify", "constants"), {"corpus": {"N": 0}}, "'N'"),
+    (("verify", "constants"), {"corpus": {"N": 12}}, "'N'"),
+    (("verify", "constants"), {"corpus": {"L": -1}}, "'L'"),
+    (("verify", "constants"), {"partition": {"dims": [3]}}, "'dims'"),
+    (("verify", "constants"), {"partition": {"dims": [1.0]}}, "'dims'"),
+    (("verify", "constants"), {"weights": {"gevrey_s": [1.0]}}, "'gevrey_s'"),
+    (("verify", "constants"), {"superposition": {"product_N": 21}}, "'product_N'"),
+    (("verify", "constants"), {"weights": {"loglog_grid_max": 10**400}},
+     "'loglog_grid_max'"),
+], ids=["unknown-key", "wrong-type", "unknown-weight", "no-bands", "corpus-n-5",
+        "corpus-N-0", "corpus-N-12", "corpus-L-negative", "dims-3", "dims-not-integer",
+        "gevrey-s-1", "product-N-21", "int-beyond-float"])
 def test_config_is_checked_whole_before_any_family_runs(capsys, tmp_path, command,
                                                         config, named):
     cfg = tmp_path / "cfg.json"
@@ -151,6 +173,32 @@ def test_config_is_checked_whole_before_any_family_runs(capsys, tmp_path, comman
     assert doc is None
     assert len(err.strip().splitlines()) == 1
     assert named in err and repr(next(iter(config))) in err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=6)
+    | st.integers() | st.sampled_from([10**400, -(10**400)]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([(f, k) for f, rows in _CONFIG.items() for k in rows]), _JSON_VALUES)
+def test_config_problem_of_any_value_is_none_or_one_line(family_key, value):
+    # whatever JSON value a key gets, the check returns and never raises
+    family, key = family_key
+    problem = _config_problem({family: {key: value}})
+    assert problem is None or (len(problem.splitlines()) == 1
+                               and repr(family) in problem and repr(key) in problem)
+    top = _config_problem(value)
+    assert top is None or len(top.splitlines()) == 1
+
+
+def test_config_defaults_pass_their_own_rule():
+    for family, rows in _CONFIG.items():
+        for key, (quick, full, (what, test)) in rows.items():
+            assert test(quick) is None and test(full) is None, (family, key, what)
 
 
 @pytest.mark.parametrize("command, config, named", [
@@ -520,7 +568,7 @@ def test_corpus_generate_rejects_a_negative_band(capsys, tmp_path):
     assert code == 2
     assert doc is None
     assert len(err.strip().splitlines()) == 1
-    assert "band -5.0" in err
+    assert "'bands'" in err and "-5.0" in err
     assert not (tmp_path / "c" / "fixture_000.csv").exists()
 
 
@@ -551,19 +599,35 @@ def test_report_merge_pass_fail_and_malformed(capsys, tmp_path):
     assert res["worst_margins"]["demo"] == pytest.approx(-0.1)
 
 
-@pytest.mark.parametrize("report", [
-    {"checks": [1]},
-    {"checks": [{"passed": True, "min_margin": [1]}]},
-    {"checks": [{"kind": "x", "passed": "false", "min_margin": -1.0}]},
-    {"checks": [{"kind": "x", "passed": True, "min_margin": 1.0}, 1]},
+@pytest.mark.parametrize("report, error", [
+    ({"checks": [1]}, "checks:0: a check must be a JSON object"),
+    ({"checks": [{"passed": True, "min_margin": [1]}]}, '"min_margin" must be a number'),
+    ({"checks": [{"kind": "x", "passed": "false", "min_margin": -1.0}]},
+     'checks:0:x: "passed" must be true or false'),
+    ({"checks": [{"kind": "x", "passed": True, "min_margin": 1.0}, 1]},
+     "checks:1: a check must be a JSON object"),
+    ({"checks": [{"kind": "x"}]}, 'checks:0:x: "passed" must be true or false'),
+    ({"result": {"families": []}}, 'odd:unknown: "passed" must be true or false'),
+    ({"checks": [{"passed": True, "min_margin": 10**400}]}, '"min_margin" must be a number'),
 ], ids=["check-not-object", "margin-not-number", "passed-not-boolean",
-        "bad-check-after-good"])
-def test_report_merge_lists_malformed_check(capsys, tmp_path, report):
+        "bad-check-after-good", "passed-missing", "families-a-list", "margin-beyond-float"])
+def test_report_merge_lists_malformed_check(capsys, tmp_path, report, error):
+    # a missing "passed" was listed with the bare KeyError text "'passed'",
+    # and an int margin beyond the float range ended in an OverflowError
     (tmp_path / "odd.json").write_text(json.dumps(report))
     code, doc, _ = run_cli(capsys, "report", "merge", str(tmp_path))
     res = doc["result"]
     assert [m["file"] for m in res["malformed"]] == ["odd.json"]
+    assert error in res["malformed"][0]["error"]
     assert res["reports"] == 0
+
+
+def test_report_merge_lists_a_file_nested_too_deep(capsys, tmp_path):
+    # json.load raised RecursionError, a traceback with exit 1
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    code, doc, _ = run_cli(capsys, "report", "merge", str(tmp_path))
+    assert code == 1
+    assert [m["file"] for m in doc["result"]["malformed"]] == ["deep.json"]
 
 
 def test_report_merge_fails_on_malformed_file(capsys, tmp_path):

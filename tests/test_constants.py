@@ -241,7 +241,7 @@ def test_choose_R_monotone_in_norm():
 
 def test_choose_R_validation():
     with pytest.raises(ValueError):
-        choose_R("gevrey", 0.5)
+        choose_R("gevrey", 0.5, {"s": 2.0, "q": 2.0, "n": 1})
     with pytest.raises(ValueError):
         choose_R("gevrey", 2.0, {"s": 1.0, "q": 2.0, "n": 1})
     with pytest.raises(ValueError):
@@ -249,6 +249,11 @@ def test_choose_R_validation():
     with pytest.raises(ValueError):
         choose_R("loglog", 2.0, {"N": 0})
     with pytest.raises(ValueError):
-        choose_R("other", 2.0)
-    with pytest.raises(KeyError, match="n"):
+        choose_R("other", 2.0, {})
+    # a missing regime key is a ValueError naming it, not a bare KeyError
+    with pytest.raises(ValueError, match="'n'"):
         choose_R("gevrey", 2.0, {"s": 2.0, "q": 2.0})
+    with pytest.raises(ValueError, match="'s'"):
+        choose_R("gevrey", 2.0, {})
+    with pytest.raises(ValueError, match="'N'"):
+        choose_R("loglog", 2.0, {})

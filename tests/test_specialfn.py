@@ -325,10 +325,12 @@ def test_measure_validation():
     with pytest.raises(ValueError):
         measure_L1("gevrey", g, 0.0, {"s": 2.0})
     with pytest.raises(ValueError):
-        measure_L1("other", g, 1.0)
-    # every regime key must be given: none has a silent default
-    with pytest.raises(KeyError, match="eps"):
+        measure_L1("other", g, 1.0, {})
+    # every regime key must be given: a missing one is a ValueError naming it
+    with pytest.raises(ValueError, match="'eps'"):
         measure_L1("loglog", g, 1.0, {"theta": 1.5})
+    with pytest.raises(ValueError, match="'s'"):
+        measure_L1("gevrey", density_by_name("up"), 1.0, {})
 
 
 # ----------------------------------------------------------------------

@@ -219,17 +219,21 @@ def test_fit_growth_envelope_b_is_stable_under_round_off(regime, rparams):
 
 
 def test_fit_growth_envelope_validation():
+    gevrey = {"s": 2.0}
     with pytest.raises(ValueError):
-        fit_growth_envelope([], [], "gevrey")
+        fit_growth_envelope([], [], "gevrey", gevrey)
     with pytest.raises(ValueError):
-        fit_growth_envelope([1.0, 2.0], [1.0], "gevrey")
+        fit_growth_envelope([1.0, 2.0], [1.0], "gevrey", gevrey)
     with pytest.raises(ValueError):
-        fit_growth_envelope([0.0, 1.0], [1.0, 1.0], "gevrey")
+        fit_growth_envelope([0.0, 1.0], [1.0, 1.0], "gevrey", gevrey)
     with pytest.raises(ValueError):
-        fit_growth_envelope([1.0], [1.0], "weird")
-    # measure_L1's loglog keys name no N: the envelope must not default it
-    with pytest.raises(KeyError, match="N"):
+        fit_growth_envelope([1.0], [1.0], "weird", {})
+    # measure_L1's loglog keys name no N: the envelope must not default it,
+    # and a missing key is a ValueError naming it
+    with pytest.raises(ValueError, match="'N'"):
         fit_growth_envelope([1.0, 2.0], [1.0, 2.0], "loglog", {"theta": 1.5, "eps": 0.5})
+    with pytest.raises(ValueError, match="'s'"):
+        fit_growth_envelope([1, 2], [1, 2], "gevrey", {})
 
 
 @pytest.mark.parametrize(
