@@ -656,16 +656,22 @@ def save_function(f: SampledFunction, path, kind: str | None = None,
 def load_function(path) -> tuple[SampledFunction, dict]:
     """Read the function file; returns (function, header).
 
-    Raises ValueError for a header without n = 1 or 2, an integer N and
-    a numeric L, for a sample row that does not parse as "index,re,im"
-    (naming its line), for a sample index that is out of range or
-    repeated, and for a sample value that is not finite.
+    Raises ValueError for a header that is not JSON or nested too
+    deeply to parse, for a header without n = 1 or 2, an integer N and
+    a numeric L (booleans are none of these), for a sample row that
+    does not parse as "index,re,im" (naming its line), for a sample
+    index that is out of range or repeated, and for a sample value that
+    is not finite.
     """
     with open(path, "r", newline="") as fh:
-        header = json.loads(fh.readline())
+        try:
+            header = json.loads(fh.readline())
+        except RecursionError:
+            raise ValueError("function header is nested too deeply") from None
         try:
             n, L, N = int(header["n"]), float(header["L"]), int(header["N"])
-            typed = (n, N) == (header["n"], header["N"]) and n in (1, 2)
+            typed = ((n, N) == (header["n"], header["N"]) and n in (1, 2)
+                     and not any(isinstance(header[k], bool) for k in "nLN"))
         except (KeyError, TypeError, ValueError):
             typed = False
         if not typed:

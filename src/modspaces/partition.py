@@ -36,32 +36,17 @@ __all__ = [
 ]
 
 
-def _e(t):
-    """exp(-1/t) for t > 0, zero otherwise; smooth on all of R."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out
+def _e(t, order: int = 0):
+    """exp(-1/t) for t > 0, zero otherwise (smooth on all of R), or its derivative.
 
-
-def _e1(t):
-    """First derivative of _e: e(t)/t^2 on t > 0."""
+    On t > 0, order 1 is e(t)/t^2 and order 2 is e(t)(1/t^4 - 2/t^3).
+    """
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     pos = t > 0
     tp = t[pos]
-    out[pos] = np.exp(-1.0 / tp) / (tp * tp)
-    return out
-
-
-def _e2(t):
-    """Second derivative of _e: e(t)(1/t^4 - 2/t^3) on t > 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    tp = t[pos]
-    out[pos] = np.exp(-1.0 / tp) * (1.0 / tp**4 - 2.0 / tp**3)
+    e = np.exp(-1.0 / tp)
+    out[pos] = e if order == 0 else e / (tp * tp) if order == 1 else e * (1.0 / tp**4 - 2.0 / tp**3)
     return out
 
 
@@ -94,8 +79,8 @@ def _h(t, order: int = 0):
     inside = (t > 0.0) & (t < 1.0)
     ti = t[inside]
     u, D = [], []
-    for j, e in enumerate((_e, _e1, _e2)[: order + 1]):
-        a, b = e(ti), e(1.0 - ti)
+    for j in range(order + 1):
+        a, b = _e(ti, j), _e(1.0 - ti, j)
         u.append(a)
         # d^j/dt^j e(1 - t) = (-1)^j e^(j)(1 - t)
         D.append(a - b if j == 1 else a + b)

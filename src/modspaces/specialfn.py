@@ -57,8 +57,8 @@ def gevrey_bump(mu: float, t) -> float | np.ndarray:
     Since mu < 0 both exponents blow up at the endpoints, so the bump
     and all its derivatives vanish there; phi_mu(1/2) = exp(-2^(1-mu)).
     """
-    if mu >= 0:
-        raise ValueError("mu must be negative")
+    if not -math.inf < mu < 0:
+        raise ValueError(f"mu must be negative and finite, got {mu}")
     t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape, dtype=float)
     inside = (t > 0.0) & (t < 1.0)
@@ -129,10 +129,11 @@ def gevrey_bump_decay(mu: float, xi_list) -> dict:
     Samples below the 1e-12 quadrature floor are dropped; raises when
     fewer than 8 usable points remain or the fitted eps is not positive.
     """
-    s = 1.0 - 1.0 / mu
     xi = np.asarray(sorted(set(abs(float(x)) for x in xi_list)), dtype=float)
     xi = xi[xi > 0]
+    # gevrey_bump_ft rejects mu outside (-inf, 0) before 1/mu is formed
     vals = np.abs(gevrey_bump_ft(mu, xi))
+    s = 1.0 - 1.0 / mu
     # drop samples below the quadrature floor; they carry no signal
     usable = vals >= 1e-12
     if np.count_nonzero(usable) < 8:

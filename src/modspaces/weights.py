@@ -103,40 +103,34 @@ class WeightAnalysis:
     deriv_sup: float
 
 
+def _bisect(f, lo: float, hi: float) -> float:
+    """Sign change of f on [lo, hi], halved until the bracket is two adjacent floats.
+
+    Raises RuntimeError when f(lo) and f(hi) have the same sign.
+    """
+    positive = f(lo) > 0
+    if positive == (f(hi) > 0):
+        raise RuntimeError(f"no sign change on [{lo:g}, {hi:g}]")
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if (f(mid) > 0) == positive else (lo, mid)
+    return mid
+
+
 @functools.lru_cache(maxsize=1)
 def analyze_weight() -> WeightAnalysis:
-    """Locate t0 (sign change of w'') and p0 (max of p) numerically.
+    """Locate t0 (root of w'') and p0 (max of p) by bisection to adjacent floats.
 
-    t0 is bracketed on [1, 100]; if w'' does not change sign there the
-    closed forms have regressed and we raise.  p0 is found by scanning
-    a log-spaced grid on (0, 1e6] and polishing the best bracket with
-    bounded scalar minimization.
+    t0 is the sign change of w'' on [1, 100].  The argmax of
+    p(t) = t w'(t) / w(t) is the sign change on [1e-3, 1e6] of
+    w^2 p'(t) = (w' + t w'') w - t w'^2, and p0 is p there.  A bracket
+    without a sign change means the closed forms have regressed, and
+    _bisect raises RuntimeError.
     """
-    # imported here: scipy.optimize is slow to import and nothing else uses it
-    from scipy.optimize import brentq, minimize_scalar
-
-    lo, hi = 1.0, 100.0
-    if w_star(lo, 2) <= 0 or w_star(hi, 2) >= 0:
-        raise RuntimeError("second derivative does not change sign on [1, 100]")
-    t0 = brentq(lambda t: w_star(t, 2), lo, hi, xtol=1e-8)
-
-    grid = np.logspace(-3, 6, 2000)
-    pvals = grid * w_star(grid, 1) / w_star(grid)
-    i = int(np.argmax(pvals))
-    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    res = minimize_scalar(
-        lambda t: -t * w_star(t, 1) / w_star(t),
-        bounds=(a, b),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    p0 = float(-res.fun)
-    return WeightAnalysis(
-        t0=float(t0),
-        p0=p0,
-        s_admissible=1.0 - p0,
-        deriv_sup=float(w_star(t0, 1)),
-    )
+    t0 = _bisect(lambda t: w_star(t, 2), 1.0, 100.0)
+    t = _bisect(lambda t: (w_star(t, 1) + t * w_star(t, 2)) * w_star(t)
+                - t * w_star(t, 1) ** 2, 1e-3, 1e6)
+    p0 = t * w_star(t, 1) / w_star(t)
+    return WeightAnalysis(t0=t0, p0=p0, s_admissible=1.0 - p0, deriv_sup=w_star(t0, 1))
 
 
 _VARIANTS = ("polynomial", "gevrey", "loglog", "exponential")

@@ -3,9 +3,10 @@
 Everything here recomputes package quantities through a route the
 package itself does not use: mpmath arbitrary-precision arithmetic
 with numerical differentiation and root polishing, scipy special
-functions, closed forms, or the loops the package ran before it took
-a shortcut with the same arithmetic.  Tests compare package output
-against these values rather than against other package output.
+functions and solvers, closed forms, or the loops the package ran
+before it took a shortcut with the same arithmetic.  Tests compare
+package output against these values rather than against other package
+output.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from modspaces.specialfn import (
     _log_weight,
     gevrey_bump,
 )
-from modspaces.weights import VerificationReport, w_star
+from modspaces.weights import VerificationReport, WeightAnalysis, w_star
 
 mp.mp.dps = 30
 
@@ -75,6 +76,38 @@ def p0_oracle() -> tuple:
         t *= mp.mpf("1.25")
     tstar = mp.findroot(lambda t: mp.diff(p_aux, t, 1), best_t)
     return tstar, p_aux(tstar)
+
+
+def analyze_weight_scipy() -> WeightAnalysis:
+    """Critical constants by scipy's brentq, a log-grid scan and bounded minimization.
+
+    The package bisects sign changes to adjacent floats instead; this
+    is the route it used before, kept as the dual route.
+    """
+    from scipy.optimize import brentq, minimize_scalar
+
+    lo, hi = 1.0, 100.0
+    if w_star(lo, 2) <= 0 or w_star(hi, 2) >= 0:
+        raise RuntimeError("second derivative does not change sign on [1, 100]")
+    t0 = brentq(lambda t: w_star(t, 2), lo, hi, xtol=1e-8)
+
+    grid = np.logspace(-3, 6, 2000)
+    pvals = grid * w_star(grid, 1) / w_star(grid)
+    i = int(np.argmax(pvals))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    res = minimize_scalar(
+        lambda t: -t * w_star(t, 1) / w_star(t),
+        bounds=(a, b),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    p0 = float(-res.fun)
+    return WeightAnalysis(
+        t0=float(t0),
+        p0=p0,
+        s_admissible=1.0 - p0,
+        deriv_sup=float(w_star(t0, 1)),
+    )
 
 
 def weight_mp(spec, k) -> mp.mpf:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from modspaces.cli import _CONFIG, _config_problem, main
 from modspaces.modspace import SampledFunction, load_function, save_function
+from modspaces.specialfn import density_by_name
 
 
 def run_cli(capsys, *argv):
@@ -383,16 +384,29 @@ _GOOD_HEADER = {"n": 1, "L": math.pi, "N": 4}
     ({"n": 0, "L": math.pi, "N": 4}, [0]),                # no dimension
     ({"n": -1, "L": math.pi, "N": 4}, [0, 1, 2, 3]),      # negative dimension
     ({"n": 3, "L": math.pi, "N": 2}, list(range(8))),     # three dimensions
+    ({"n": True, "L": math.pi, "N": 4}, [0, 1, 2, 3]),    # boolean n, read as 1
+    ({"n": 1, "L": True, "N": 4}, [0, 1, 2, 3]),          # boolean L, read as 1.0
 ], ids=["duplicate", "negative", "beyond-size", "beyond-int64", "missing-N", "null-N",
-        "fractional-N", "n-zero", "n-negative", "n-three"])
+        "fractional-N", "n-zero", "n-negative", "n-three", "n-true", "L-true"])
 def test_norm_rejects_malformed_function_file(capsys, tmp_path, header, indices):
     path = tmp_path / "bad.csv"
     rows = "".join(f"{i},1.0,0.0\n" for i in indices)
     path.write_text(json.dumps(header) + "\n" + rows)
-    code, doc, err = run_cli(capsys, "norm", str(path))
+    # continuum mode takes any L > 0, so only the file reader rejects L = true
+    code, doc, err = run_cli(capsys, "norm", str(path), "--mode", "continuum")
     assert code == 2
     assert doc is None
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_norm_rejects_a_header_nested_too_deep(capsys, tmp_path):
+    # json.loads raised RecursionError, and norm exited 1 with a traceback
+    path = tmp_path / "deep.csv"
+    path.write_text("[" * 100_000 + "\n0,1.0,0.0\n")
+    code, doc, err = run_cli(capsys, "norm", str(path))
+    assert code == 2
+    assert doc is None
+    assert err == "error: function header is nested too deeply\n"
 
 
 @pytest.mark.parametrize("body, line", [
@@ -539,6 +553,18 @@ def test_special_checks(capsys):
     assert decay["eps"] > 0.0 and decay["passed"]
 
 
+@pytest.mark.parametrize("mu", ["0", "-0.0", "nan", "-inf"])
+def test_special_bump_rejects_a_mu_that_is_not_negative_and_finite(capsys, mu):
+    # mu = 0 raised ZeroDivisionError from s = 1 - 1/mu, with a traceback;
+    # nan and -inf exited 2 with a quadrature-floor message that names no mu
+    with pytest.raises(ValueError, match="^mu must be negative and finite"):
+        density_by_name("gevrey_bump", mu=float(mu))
+    code, doc, err = run_cli(capsys, "special", "bump", "--check", f"--mu={mu}")
+    assert code == 2
+    assert doc is None
+    assert err.startswith("error: mu ") and err.count("\n") == 1
+
+
 # ----------------------------------------------------------------------
 # corpus
 # ----------------------------------------------------------------------
@@ -679,3 +705,28 @@ def test_report_merge_output_is_strict_json(capsys, tmp_path):
     assert code == 1
     assert doc["result"]["failing"] == ["n"]
     assert doc["result"]["worst_margins"]["demo"] == "-inf"
+
+
+_REPORT_KEYS = st.sampled_from(["passed", "checks", "result", "families", "kind", "id",
+                                "min_margin"]) | st.text(max_size=3)
+_REPORT_DOCS = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers()
+    | st.sampled_from([10**400, "inf", "-inf", "nan", "x"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_REPORT_KEYS, inner, max_size=5),
+    max_leaves=16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_REPORT_DOCS, max_size=3))
+def test_report_merge_of_any_documents_is_one_strict_json_verdict(docs):
+    # whatever JSON the directory holds, the merge lists it or counts it
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, doc in enumerate(docs):
+            with open(os.path.join(tmp, f"r{i}.json"), "w") as fh:
+                json.dump(doc, fh)
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(["report", "merge", tmp])
+    assert code in (0, 1)
+    assert _strict(out.getvalue())["passed"] is (code == 0)

@@ -15,6 +15,7 @@ from modspaces.weights import (
     LOG_TOL,
     SHIFT,
     WeightSpec,
+    _bisect,
     analyze_weight,
     bracket_star,
     log_weight_eval,
@@ -69,13 +70,24 @@ def test_w_star_bad_order():
 def test_analysis_against_mpmath_oracle():
     ana = analyze_weight()
     t0_ref = float(orc.t0_oracle())
-    assert ana.t0 == pytest.approx(t0_ref, abs=1e-7)
+    assert ana.t0 == pytest.approx(t0_ref, abs=1e-13)
     # stationarity at the package's own argmax: the oracle polishes the
     # stationary point of p independently and evaluates p there.
     tstar, p0_ref = orc.p0_oracle()
     assert ana.p0 == pytest.approx(float(p0_ref), abs=1e-10)
     assert ana.s_admissible == pytest.approx(1.0 - float(p0_ref), abs=1e-10)
     assert ana.deriv_sup == pytest.approx(float(orc.w_derivative(t0_ref, 1)), rel=1e-9)
+
+
+def test_analysis_matches_scipy_route():
+    ana, ref = analyze_weight(), orc.analyze_weight_scipy()
+    assert (ana.p0, ana.s_admissible, ana.deriv_sup) == (ref.p0, ref.s_admissible, ref.deriv_sup)
+    assert ana.t0 == pytest.approx(ref.t0, abs=1e-12)
+
+
+def test_bisect_without_sign_change_raises():
+    with pytest.raises(RuntimeError, match="no sign change"):
+        _bisect(lambda t: t * t + 1.0, -1.0, 1.0)
 
 
 def test_analysis_internal_identities():
@@ -238,9 +250,9 @@ def test_sweep_loglog_matches_index_gather(s, grid_max, step, n_random):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported by analyze_weight alone, on first use
+    # the critical constants are bisected with numpy alone
     src = os.path.dirname(os.path.dirname(modspaces.__file__))
-    code = ("import sys, modspaces, modspaces.cli; "
+    code = ("import sys, modspaces, modspaces.cli; modspaces.analyze_weight(); "
             "print('scipy.optimize' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
