@@ -29,16 +29,17 @@ of the lattice closed form and of the continuum block norms.
 
 Continuum mode at p = 2 uses discrete Parseval, ||box_k f||_2^2 =
 (pi/L)^n sum_m sigma_k(xi_m)^2 |F_m|^2, for all cells at once; other p
-invert sigma_k * F per cell with batched inverse FFTs, which the tests
-also run at p = 2 as the dual route.  Either way, cells whose
-sigma_k * F is exactly zero are dropped, as in lattice mode.  The STFT
-norm at p = 2 uses the correlation identity: the sum over shifts of
-|V(x, xi_m)|^2 is a direct circular sum of |F|^2 against the window's
-|spectrum|^2; other p run one transform per shift, the dual route.
+synthesize each block from the few modes of its band, one small matrix
+product per chunk of cells, which the tests also run at p = 2 as the
+dual route.  Either way, cells whose sigma_k * F is exactly zero are
+dropped, as in lattice mode.  The STFT norm at p = 2 uses the
+correlation identity: the sum over shifts of |V(x, xi_m)|^2 is a direct
+circular sum of |F|^2 against the window's |spectrum|^2; other p run
+one transform per shift, the dual route.
 
 Grids are tensor products: 1-d and 2-d arrays are built by one path
 (partition._outer, partition._points) with no branch on n.  Only cost
-choices still fork by dimension: _cell_sums, _ifft_block_norms,
+choices still fork by dimension: _cell_sums, _band_block_norms,
 _stft_parseval_inner, and stft_norm's cost guard and shift chunks.
 
 Both norms accept p = inf / q = inf (suprema).  Truncation of the k
@@ -250,42 +251,32 @@ def synthesize(kind: str, *, n: int = 1, L: float = math.pi, N: int = 256,
 # block operators and norms
 # ---------------------------------------------------------------------
 
-def _axis_sigma_band(f: SampledFunction,
-                     ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero entries (row, col, value) of the axis-factor matrix sigma_k(xi_m).
+def _axis_sigma_band(f: SampledFunction, ks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Nonzero entries of the axis-factor matrix sigma_k(xi_m): (lo, row, t, value).
 
     Row i (cell ks[i]) vanishes outside the band |xi_m - k| < 1, at most
     ceil(2L/pi) + 1 grid points, so only that band (and one point of
-    margin on each side) is evaluated, in one vectorized call; col is
-    the storage index of xi_m.
+    margin on each side) is evaluated, in one vectorized call.  An entry
+    sits at the signed index m = lo[row] + t in [-N/2, N/2), which also
+    indexes FFT storage order, so a band never wraps around the Nyquist
+    edge.
     """
     xi = f.xi_axis()
     per_unit = f.L / math.pi
-    offsets = np.arange(math.ceil(2.0 * per_unit) + 4)
-    m = np.floor((ks - 1) * per_unit).astype(np.int64)[:, None] - 1 + offsets
-    on_grid = (m >= -(f.N // 2)) & (m < f.N // 2)
-    row = np.broadcast_to(np.arange(ks.size)[:, None], m.shape)[on_grid]
-    col = m[on_grid] % f.N
-    val = _sigma_axis(xi[col], ks[row])
+    lo = np.floor((ks - 1) * per_unit).astype(np.int64) - 1
+    m = lo[:, None] + np.arange(math.ceil(2.0 * per_unit) + 4)
+    row, t = np.nonzero((m >= -(f.N // 2)) & (m < f.N // 2))
+    val = _sigma_axis(xi[m[row, t]], ks[row])
     nz = val != 0
-    return row[nz], col[nz], val[nz]
+    return lo, row[nz], t[nz], val[nz]
 
 
-def _band_rows(band: tuple[np.ndarray, np.ndarray, np.ndarray], idx: np.ndarray,
-               N: int) -> np.ndarray:
-    """Dense rows idx (sorted, distinct) of the N-column matrix given by its band triples."""
-    row, col, val = band
-    lo, hi = np.searchsorted(row, [idx[0], idx[-1] + 1])
-    at = np.searchsorted(idx, row[lo:hi])
-    keep = idx[at] == row[lo:hi]
-    out = np.zeros((idx.size, N))
-    out[at[keep], col[lo:hi][keep]] = val[lo:hi][keep]
+def _band_rows(band: tuple[np.ndarray, ...], N: int) -> np.ndarray:
+    """Dense K x N matrix of the axis factors given by their band entries."""
+    lo, row, t, val = band
+    out = np.zeros((lo.size, N))
+    out[row, lo[row] + t] = val
     return out
-
-
-def _axis_sigma_rows(f: SampledFunction, ks: np.ndarray) -> np.ndarray:
-    """Dense K x N matrix of the axis factors sigma_k(xi_m) on f's frequency axis."""
-    return _band_rows(_axis_sigma_band(f, ks), np.arange(ks.size), f.N)
 
 
 def _lp(x: np.ndarray, p, cell: float = 1.0, axis=None):
@@ -385,10 +376,10 @@ def _cell_sums(f: SampledFunction, k_max: int, a: np.ndarray, power: int) -> np.
     axis factor to the given power; power 0 counts the support only.
     """
     ks = np.arange(-k_max, k_max + 1)
-    row, col, val = _axis_sigma_band(f, ks)
+    lo, row, t, val = _axis_sigma_band(f, ks)
     if f.n == 1:
-        return np.bincount(row, weights=val**power * a[col], minlength=ks.size)
-    rows = _band_rows((row, col, val**power), np.arange(ks.size), f.N)
+        return np.bincount(row, weights=val**power * a[lo[row] + t], minlength=ks.size)
+    rows = _band_rows((lo, row, t, val**power), f.N)
     return rows @ a @ rows.T
 
 
@@ -407,43 +398,47 @@ def _continuum_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarra
 
     p = 2 by discrete Parseval: ||box_k f||_2^2 = (pi/L)^n sum_m
     sigma_k(xi_m)^2 |F_m|^2, for every cell at once R^2 |F|^2 (1-d) or
-    R^2 |F|^2 R^2^T (2-d), R the axis rows.  Other p invert sigma_k * F
-    per cell (_ifft_block_norms), the dual route at p = 2.
+    R^2 |F|^2 R^2^T (2-d), R the axis rows.  Other p synthesize each
+    block from its band (_band_block_norms), the dual route at p = 2.
     """
     if p != 2:
-        return _ifft_block_norms(f, k_max, p)
+        return _band_block_norms(f, k_max, p)
     cells = _continuum_cells(f, k_max)
     sq = _cell_sums(f, k_max, np.abs(f.spectrum) ** 2, 2)[tuple((cells + k_max).T)]
     return cells, np.sqrt((math.pi / f.L) ** f.n * sq)
 
 
-def _ifft_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarray, np.ndarray]:
-    """Cells |k|_inf <= k_max with a nonzero block, and their L^p norms by batched inverse FFTs.
+def _band_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarray, np.ndarray]:
+    """Cells |k|_inf <= k_max with a nonzero block, and their L^p norms by band synthesis.
 
-    In 1-d each batch scatters only its own axis rows from the band
-    triples: the dense K x N matrix would dwarf the N-point spectrum.
-    In 2-d it is no larger than the N x N spectrum and is built once.
+    Along each axis sigma_k * F lives on the b signed indices lo_k + t,
+    t < b, so |ifft(sigma_k F phase / scale)[j]| = |sum_t C_k[t] E[t, j]|
+    with C_k those band entries and E[t, j] = e^{2 pi i tj/N} / N; the
+    common factor e^{2 pi i lo_k j/N} has modulus 1.  The block samples
+    are |C E| in 1-d (C the cells x b rows) and |E^T C_k E| in 2-d (C_k
+    the b x b core), one small product per chunk of cells.
     """
-    F = f.spectrum
     phase, scale = _normalization(f.n, f.L, f.N)
-    ks = np.arange(-k_max, k_max + 1)
-    if f.n == 1:
-        band = _axis_sigma_band(f, ks)
-    else:
-        rows = _axis_sigma_rows(f, ks)
+    H = f.spectrum * phase / scale
+    lo, row, t, val = _axis_sigma_band(f, np.arange(-k_max, k_max + 1))
+    A = np.zeros((lo.size, t.max(initial=0) + 1))
+    A[row, t] = val
+    tb = np.arange(A.shape[1])
+    E = np.exp((2j * math.pi / f.N) * (np.outer(tb, np.arange(f.N)) % f.N)) / f.N
     cells = _continuum_cells(f, k_max)
 
     out = np.zeros(len(cells))
     chunk = 64 if f.n == 1 else 16
     for start in range(0, len(cells), chunk):
         block = cells[start : start + chunk] + k_max
+        # each axis's band indices; those beyond the grid meet a zero of A
+        m = [(lo[block[:, i]][:, None] + tb) % f.N for i in range(f.n)]
         if f.n == 1:
-            G = F[None, :] * _band_rows(band, block[:, 0], f.N)
-            vals = np.fft.ifft(G * phase[None, :] / scale, axis=1)
+            vals = (A[block[:, 0]] * H[m[0]]) @ E
         else:
-            fac = rows[block[:, 0]][:, :, None] * rows[block[:, 1]][:, None, :]
-            G = F[None, :, :] * fac
-            vals = np.fft.ifft2(G * phase[None, :, :] / scale, axes=(1, 2))
+            C = (A[block[:, 0]][:, :, None] * A[block[:, 1]][:, None, :]
+                 * H[m[0][:, :, None], m[1][:, None, :]])
+            vals = E.T @ C @ E
         out[start : start + len(block)] = _lp(np.abs(vals).reshape(len(block), -1), p,
                                               f.cell_volume, axis=1)
     return cells, out
@@ -461,7 +456,7 @@ def mod_norm_record(f: SampledFunction, params: NormParams) -> dict:
     sorted index order (deterministic reduction), skipping blocks that
     are exactly zero; q = inf uses the supremum.  Lattice blocks come
     from the closed form; continuum blocks from discrete Parseval at
-    p = 2 and from inverting sigma_k * F otherwise.  Emits
+    p = 2 and from band synthesis of sigma_k * F otherwise.  Emits
     TruncationWarning when the relative spectral mass outside
     |xi|_inf <= k_max-1 exceeds 1e-9.
     """
@@ -658,10 +653,10 @@ def load_function(path) -> tuple[SampledFunction, dict]:
 
     Raises ValueError for a header that is not JSON or nested too
     deeply to parse, for a header without n = 1 or 2, an integer N and
-    a numeric L (booleans are none of these), for a sample row that
-    does not parse as "index,re,im" (naming its line), for a sample
-    index that is out of range or repeated, and for a sample value that
-    is not finite.
+    a number L (booleans, strings and numbers beyond the float range
+    are none of these), for a sample row that does not parse as
+    "index,re,im" (naming its line), for a sample index that is out of
+    range or repeated, and for a sample value that is not finite.
     """
     with open(path, "r", newline="") as fh:
         try:
@@ -671,8 +666,9 @@ def load_function(path) -> tuple[SampledFunction, dict]:
         try:
             n, L, N = int(header["n"]), float(header["L"]), int(header["N"])
             typed = ((n, N) == (header["n"], header["N"]) and n in (1, 2)
+                     and isinstance(header["L"], (int, float))
                      and not any(isinstance(header[k], bool) for k in "nLN"))
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             typed = False
         if not typed:
             raise ValueError("function header needs n = 1 or 2, an integer N and a number L")

@@ -20,8 +20,11 @@ import numpy as np
 from modspaces.modspace import (
     NormParams,
     SampledFunction,
-    _axis_sigma_rows,
+    _axis_sigma_band,
+    _band_rows,
     _check_mode,
+    _continuum_cells,
+    _lp,
     _normalization,
     from_spectrum,
     mod_norm,
@@ -182,6 +185,11 @@ def bump_transform(mu, xi, dps: int = 30) -> mp.mpc:
 # norm per lattice cell, the dual route of the lattice closed form and
 # of the batched continuum block norms
 
+def axis_sigma_rows(f: SampledFunction, ks: np.ndarray) -> np.ndarray:
+    """Dense K x N matrix of the axis factors sigma_k(xi_m) on f's frequency axis."""
+    return _band_rows(_axis_sigma_band(f, ks), f.N)
+
+
 def box_k(f: SampledFunction, k, mode: str = "lattice") -> SampledFunction:
     """Block operator: multiply the spectrum by sigma_k and invert.
 
@@ -199,11 +207,41 @@ def box_k(f: SampledFunction, k, mode: str = "lattice") -> SampledFunction:
         keep = (m == ks[0]) if f.n == 1 else np.outer(m == ks[0], m == ks[1])
         G = np.where(keep, F, 0.0)
     elif f.n == 1:
-        G = F * _axis_sigma_rows(f, np.array(ks))[0]
+        G = F * axis_sigma_rows(f, np.array(ks))[0]
     else:
-        fac0, fac1 = _axis_sigma_rows(f, np.array(ks))
+        fac0, fac1 = axis_sigma_rows(f, np.array(ks))
         G = F * fac0[:, None] * fac1[None, :]
     return from_spectrum(f.n, f.L, f.N, G)
+
+
+def ifft_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarray, np.ndarray]:
+    """Cells |k|_inf <= k_max with a nonzero block, and their L^p norms by batched inverse FFTs.
+
+    The route the package took before it synthesized each block from
+    the modes of its band: an N-point (1-d) or N x N (2-d) inverse FFT
+    of sigma_k * F per cell, in chunks of cells.  The package scattered
+    each 1-d chunk's own axis rows; at test sizes the dense K x N
+    matrix serves both dimensions, with the same rows bit for bit.
+    """
+    F = f.spectrum
+    phase, scale = _normalization(f.n, f.L, f.N)
+    rows = axis_sigma_rows(f, np.arange(-k_max, k_max + 1))
+    cells = _continuum_cells(f, k_max)
+
+    out = np.zeros(len(cells))
+    chunk = 64 if f.n == 1 else 16
+    for start in range(0, len(cells), chunk):
+        block = cells[start : start + chunk] + k_max
+        if f.n == 1:
+            G = F[None, :] * rows[block[:, 0]]
+            vals = np.fft.ifft(G * phase[None, :] / scale, axis=1)
+        else:
+            fac = rows[block[:, 0]][:, :, None] * rows[block[:, 1]][:, None, :]
+            G = F[None, :, :] * fac
+            vals = np.fft.ifft2(G * phase[None, :, :] / scale, axes=(1, 2))
+        out[start : start + len(block)] = _lp(np.abs(vals).reshape(len(block), -1), p,
+                                              f.cell_volume, axis=1)
+    return cells, out
 
 
 def lp_norm(f: SampledFunction, p) -> float:

@@ -386,8 +386,12 @@ _GOOD_HEADER = {"n": 1, "L": math.pi, "N": 4}
     ({"n": 3, "L": math.pi, "N": 2}, list(range(8))),     # three dimensions
     ({"n": True, "L": math.pi, "N": 4}, [0, 1, 2, 3]),    # boolean n, read as 1
     ({"n": 1, "L": True, "N": 4}, [0, 1, 2, 3]),          # boolean L, read as 1.0
+    ({"n": 1, "L": "3.0", "N": 4}, [0, 1, 2, 3]),         # string L, read as 3.0
+    ({"n": 1, "L": 10**400, "N": 4}, [0, 1, 2, 3]),       # L beyond the float range
+    ({"n": 1, "L": math.pi, "N": math.inf}, [0, 1, 2, 3]),  # N = Infinity
 ], ids=["duplicate", "negative", "beyond-size", "beyond-int64", "missing-N", "null-N",
-        "fractional-N", "n-zero", "n-negative", "n-three", "n-true", "L-true"])
+        "fractional-N", "n-zero", "n-negative", "n-three", "n-true", "L-true", "L-string",
+        "L-beyond-float", "N-infinity"])
 def test_norm_rejects_malformed_function_file(capsys, tmp_path, header, indices):
     path = tmp_path / "bad.csv"
     rows = "".join(f"{i},1.0,0.0\n" for i in indices)

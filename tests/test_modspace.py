@@ -192,7 +192,7 @@ def test_axis_sigma_rows_banded_equal_dense(L):
     k_max = default_k_max(f)
     ks = np.arange(-k_max, k_max + 1)
     dense = np.stack([_sigma_axis(f.xi_axis(), int(k)) for k in ks])
-    assert np.array_equal(modspace._axis_sigma_rows(f, ks), dense)
+    assert np.array_equal(orc.axis_sigma_rows(f, ks), dense)
 
 
 def test_box_mode_validation():
@@ -338,34 +338,47 @@ def _continuum_cases():
 @pytest.mark.filterwarnings("ignore::modspaces.modspace.TruncationWarning")
 @pytest.mark.parametrize("f", _continuum_cases(), ids=lambda f: f"n{f.n}-N{f.N}-L{f.L:.3g}")
 def test_mod_norm_continuum_p2_matches_ifft_route(f, monkeypatch):
-    # p = 2 is the discrete Parseval closed form; the batched inverse
-    # FFTs of sigma_k * F are the dual route, forced here at p = 2.
+    # p = 2 is the discrete Parseval closed form; inverting sigma_k * F
+    # by band synthesis (the p != 2 route) is the dual route, forced
+    # here at p = 2.
     k_max = default_k_max(f)
     if f._spectrum is None:
         assert np.all(f.spectrum != 0)
     cells, blocks = modspace._continuum_block_norms(f, k_max, 2.0)
-    cells_fft, blocks_fft = modspace._ifft_block_norms(f, k_max, 2.0)
-    assert np.array_equal(cells, cells_fft)
-    np.testing.assert_allclose(blocks, blocks_fft, rtol=1e-12)
+    cells_band, blocks_band = modspace._band_block_norms(f, k_max, 2.0)
+    assert np.array_equal(cells, cells_band)
+    np.testing.assert_allclose(blocks, blocks_band, rtol=1e-12)
     spec = WeightSpec.gevrey(2.0)
     got = [mod_norm(f, NormParams(2.0, q, spec, mode="continuum")) for q in (1.0, 2.0, math.inf)]
-    monkeypatch.setattr(modspace, "_continuum_block_norms", modspace._ifft_block_norms)
+    monkeypatch.setattr(modspace, "_continuum_block_norms", modspace._band_block_norms)
     expect = [mod_norm(f, NormParams(2.0, q, spec, mode="continuum")) for q in (1.0, 2.0, math.inf)]
     assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_band_rows_equal_dense_rows():
-    # Each 1-d batch of the inverse-FFT route scatters its own rows (a
-    # sorted subset, with gaps where zero blocks were dropped) from the
-    # band triples; they must be the rows of the dense matrix bit for bit.
+    # 2-d _cell_sums scatters the band entries, raised to a power, into
+    # the dense K x N matrix; power 0 must mark the support and no more.
     f = synthesize("gaussian", L=3.5, N=64)
     k_max = default_k_max(f)
     ks = np.arange(-k_max, k_max + 1)
-    band = modspace._axis_sigma_band(f, ks)
+    lo, row, t, val = modspace._axis_sigma_band(f, ks)
     dense = np.stack([_sigma_axis(f.xi_axis(), int(k)) for k in ks])
-    gaps = np.unique(np.random.default_rng(4).integers(0, ks.size, 20))
-    for sel in (gaps, np.arange(ks.size), np.array([0]), np.array([ks.size - 1])):
-        assert np.array_equal(modspace._band_rows(band, sel, f.N), dense[sel])
+    for power in (0, 1, 2):
+        got = modspace._band_rows((lo, row, t, val**power), f.N)
+        assert np.array_equal(got, np.where(dense != 0, dense**power, 0.0))
+
+
+@pytest.mark.filterwarnings("ignore::modspaces.modspace.TruncationWarning")
+@pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+@pytest.mark.parametrize("f", _continuum_cases(), ids=lambda f: f"n{f.n}-N{f.N}-L{f.L:.3g}")
+def test_band_block_norms_match_ifft_oracle(f, p):
+    # band synthesis against the inverse FFT of each whole block, the
+    # route it replaced; the last case keeps every cell of a 2-d grid
+    k_max = default_k_max(f)
+    cells, blocks = modspace._band_block_norms(f, k_max, p)
+    cells_fft, blocks_fft = orc.ifft_block_norms(f, k_max, p)
+    assert np.array_equal(cells, cells_fft)
+    np.testing.assert_allclose(blocks, blocks_fft, rtol=1e-13)
 
 
 @pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
@@ -377,24 +390,31 @@ def test_continuum_ifft_blocks_match_box_route(p):
         shape = (N,) * n
         f = SampledFunction(n, 2.8, N, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         k_max = default_k_max(f)
-        cells, blocks = modspace._ifft_block_norms(f, k_max, p)
+        cells, blocks = modspace._band_block_norms(f, k_max, p)
         assert len(cells) == (2 * k_max + 1) ** n
         expect = [orc.lp_norm(orc.box_k(f, tuple(k), mode="continuum"), p) for k in cells]
         np.testing.assert_allclose(blocks, expect, rtol=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore::modspaces.modspace.TruncationWarning")
 def test_continuum_ifft_route_memory():
-    # The p != 2 route must not hold the K x N axis-row matrix (128 MiB
-    # at N = 4096); one batch of 64 rows takes a few MiB.
-    f = synthesize("random_bandlimited", N=4096, seed=7, B=10)
-    f.spectrum  # cached before tracing starts
-    tracemalloc.start()
-    try:
-        mod_norm(f, NormParams(1.0, 2.0, WeightSpec.gevrey(2.0), mode="continuum"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    # The p != 2 route must not hold a K x N matrix (128 MiB of axis rows
+    # or 256 MiB of block samples at N = 4096); one chunk of 64 cells
+    # takes a few MiB.  The band-limited input keeps about 21 cells; the
+    # random samples keep 4096 of the 4097, so only chunking stays under
+    # the cap.
+    rng = np.random.default_rng(22)
+    noise = SampledFunction(1, PI, 4096, rng.standard_normal(4096) + 1j * rng.standard_normal(4096))
+    assert len(modspace._band_block_norms(noise, 2048, 1.0)[0]) == 4096
+    for f in (synthesize("random_bandlimited", N=4096, seed=7, B=10), noise):
+        f.spectrum  # cached before tracing starts
+        tracemalloc.start()
+        try:
+            mod_norm(f, NormParams(1.0, 2.0, WeightSpec.gevrey(2.0), mode="continuum"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
