@@ -76,7 +76,7 @@ from .superpose import (
     product_identity_check,
     subalgebra_ladder,
 )
-from .weights import WeightSpec, analyze_weight, verify_weight_inequality
+from .weights import WeightSpec, _finite, _int_in, analyze_weight, verify_weight_inequality
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -161,19 +161,6 @@ def _parse_weight(text: str) -> WeightSpec:
 def _check(kind: str, passed: bool, margin: float, detail: dict) -> dict:
     return {"kind": kind, "passed": bool(passed),
             "min_margin": float(margin), **detail}
-
-
-def _finite(v) -> bool:
-    """Whether v is a number whose float is finite; an int beyond the float range is not."""
-    try:
-        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-    except OverflowError:
-        return False
-
-
-def _int_in(lo: int, hi: float = math.inf):
-    """A test for an int in [lo, hi] whose float is finite."""
-    return lambda v: type(v) is int and _finite(v) and lo <= v <= hi
 
 
 def _positive(v) -> bool:
@@ -336,14 +323,15 @@ def _algebra_corpus(n_pairs: int):
 def verify_algebra(profile: str, config: dict) -> dict:
     st = _family_settings(profile, config, "algebra")
     pairs = _algebra_corpus(st["n_pairs"])
+    reports = check_algebra_ratio(pairs, [
+        NormParams(p=2.0, q=2.0, weight=_ALGEBRA_WEIGHTS[name], mode="lattice")
+        for name in st["weights"]])
     checks = []
-    for name in st["weights"]:
-        params = NormParams(p=2.0, q=2.0, weight=_ALGEBRA_WEIGHTS[name],
-                            mode="lattice")
-        rep = check_algebra_ratio(pairs, params)
+    for name, rep in zip(st["weights"], reports):
         d = rep.to_dict()
         d["kind"] = f"algebra_ratio_{name}"
-        d.get("extra", {}).pop("ratios", None)  # keep reports compact
+        for key in ("ratios", "ratios_refined"):  # keep reports compact
+            d["extra"].pop(key)
         checks.append(d)
     return {"checks": checks}
 

@@ -55,7 +55,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -460,6 +460,18 @@ def mod_norm_record(f: SampledFunction, params: NormParams) -> dict:
     TruncationWarning when the relative spectral mass outside
     |xi|_inf <= k_max-1 exceeds 1e-9.
     """
+    cells, block, tail, warns = _blocks(f, params)
+    return {"params": params.to_dict(), "value": _weighted_lq(cells, block, params),
+            "truncation_tail": tail, "warnings": warns}
+
+
+def _blocks(f: SampledFunction, params: NormParams) -> tuple:
+    """(cells, block L^p norms, truncation tail, warnings): the weight-free part of a norm.
+
+    Depends on params' p, mode and k_max only, not on the weight or q.
+    The TruncationWarning is attributed two frames up, as it was when
+    mod_norm_record raised it itself.
+    """
     _check_mode(f, params.mode)
     k_max = params.resolved_k_max(f)
     tail = _tail_fraction(f, k_max)
@@ -468,15 +480,18 @@ def mod_norm_record(f: SampledFunction, params: NormParams) -> dict:
         msg = (f"spectral tail mass {tail:.3e} beyond |xi| <= {k_max - 1} "
                f"exceeds 1e-9; the k sum is truncated")
         warns.append(msg)
-        warnings.warn(msg, TruncationWarning, stacklevel=2)
+        warnings.warn(msg, TruncationWarning, stacklevel=3)
 
     block_norms = _lattice_block_norms if params.mode == "lattice" else _continuum_block_norms
     cells, block = block_norms(f, k_max, params.p)
-    value = 0.0
-    if block.size:
-        value = float(_lp(weight_eval(params.weight, cells) * block, params.q))
-    return {"params": params.to_dict(), "value": value,
-            "truncation_tail": tail, "warnings": warns}
+    return cells, block, tail, warns
+
+
+def _weighted_lq(cells: np.ndarray, block: np.ndarray, params: NormParams) -> float:
+    """Weighted l^q sum of the block norms under params' weight and q; 0 for no blocks."""
+    if not block.size:
+        return 0.0
+    return float(_lp(weight_eval(params.weight, cells) * block, params.q))
 
 
 def stft_norm(f: SampledFunction, p, q, weight: WeightSpec,
@@ -585,47 +600,70 @@ def refine(f: SampledFunction, factor: int = 2) -> SampledFunction:
 
 
 def check_algebra_ratio(corpus: Iterable[tuple],
-                        params: NormParams) -> VerificationReport:
-    """Product-norm ratios over a corpus of (f, g) pairs.
+                        params: Sequence[NormParams]) -> list[VerificationReport]:
+    """Product-norm ratios over a corpus of (f, g) pairs, one report per entry of params.
 
     ratio(f, g) = ||f g|| / (||f||_{2p} * ||g||_{2p}) with all norms in
     the same (q, weight, mode), so 1/p = 1/2p + 1/2p (both factors at
-    inf when p = inf).  Passes when all ratios are finite and the max
-    ratio moves by < 5% under grid refinement N -> 2N.
-    """
-    pf = NormParams(2.0 * params.p, params.q, params.weight, params.mode, params.k_max)
+    inf when p = inf).  A report passes when all its ratios are finite
+    and its max ratio moves by < 5% under grid refinement N -> 2N;
+    rel_change is inf when either max is not finite.  extra holds the
+    ratios at both scales.
 
-    def ratio(fg_pairs, scale):
-        out = []
-        for f, g in fg_pairs:
+    The entries of params may differ in weight only, so per pair and
+    scale the refinement, the product, its spectrum, the truncation
+    tails and the block norms are computed once and shared; only the
+    weighted l^q sums run once per entry.  Raises ValueError for an
+    empty corpus, an empty params, or entries that differ in p, q,
+    mode or k_max.
+    """
+    params = list(params)
+    if not params:
+        raise ValueError("check_algebra_ratio needs at least one NormParams")
+    first = params[0]
+    for other in params[1:]:
+        for key in ("p", "q", "mode", "k_max"):
+            if getattr(other, key) != getattr(first, key):
+                raise ValueError(f"check_algebra_ratio params may differ in weight only; "
+                                 f"{key} is {getattr(first, key)!r} and {getattr(other, key)!r}")
+    pairs = list(corpus)
+    if not pairs:
+        raise ValueError("check_algebra_ratio needs at least one (f, g) pair")
+    pf = NormParams(2.0 * first.p, first.q, first.weight, first.mode, first.k_max)
+
+    def ratios(scale):
+        out = [[] for _ in params]  # out[i][j]: pair j under params[i]
+        for f, g in pairs:
             ff, gg = refine(f, scale), refine(g, scale)
-            denom = mod_norm(ff, pf) * mod_norm(gg, pf)
-            num = mod_norm(multiply(ff, gg), params)
-            out.append(num / denom if denom > 0 else math.inf)
+            blocks = [_blocks(ff, pf)[:2], _blocks(gg, pf)[:2],
+                      _blocks(multiply(ff, gg), first)[:2]]
+            for row, par in zip(out, params):
+                nf, ng, nfg = (_weighted_lq(cells, block, par) for cells, block in blocks)
+                denom = nf * ng
+                row.append(nfg / denom if denom > 0 else math.inf)
         return out
 
-    pairs = list(corpus)
-    ratios = ratio(pairs, 1)
-    max_ratio = max(ratios)
-    worst = int(np.argmax(ratios))
-    finite = all(math.isfinite(r) for r in ratios)
-
-    max_refined = max(ratio(pairs, 2))
-    rel_change = abs(max_refined - max_ratio) / max_ratio if max_ratio > 0 else 0.0
-
-    passed = finite and rel_change < 0.05
-    return VerificationReport(
-        kind="algebra_ratio",
-        params=params.to_dict(),
-        domain_description=f"{len(pairs)} fixture pairs, refinement x2: True",
-        points_checked=len(pairs),
-        min_margin=0.05 - rel_change if finite else -math.inf,
-        worst_point=(worst,),
-        passed=passed,
-        tolerance=0.0,
-        extra={"max_ratio": max_ratio, "max_ratio_refined": max_refined,
-               "rel_change": rel_change, "ratios": ratios},
-    )
+    reports = []
+    for par, coarse, fine in zip(params, ratios(1), ratios(2)):
+        max_ratio, max_refined = max(coarse), max(fine)
+        finite = all(math.isfinite(r) for r in coarse)
+        if not (math.isfinite(max_ratio) and math.isfinite(max_refined)):
+            rel_change = math.inf
+        else:
+            rel_change = abs(max_refined - max_ratio) / max_ratio if max_ratio > 0 else 0.0
+        reports.append(VerificationReport(
+            kind="algebra_ratio",
+            params=par.to_dict(),
+            domain_description=f"{len(pairs)} fixture pairs, refinement x2: True",
+            points_checked=len(pairs),
+            min_margin=0.05 - rel_change if finite else -math.inf,
+            worst_point=(int(np.argmax(coarse)),),
+            passed=finite and rel_change < 0.05,
+            tolerance=0.0,
+            extra={"max_ratio": max_ratio, "max_ratio_refined": max_refined,
+                   "rel_change": rel_change, "ratios": coarse, "ratios_refined": fine},
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------

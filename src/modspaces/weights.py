@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -272,7 +273,9 @@ def _sweep_gevrey(s: float, radius: int, n: int):
     of k cells are vectorized over all l.  The exponents of |k-l| over
     the box are the window at radius - k of the table over every
     difference, and since table is increasing,
-    table[min(D2, L2)] = min(table[D2], table[L2]).
+    table[min(D2, L2)] = min(table[D2], table[L2]).  Every chunk's
+    margins go into one buffer; the chunks at the minimum are computed
+    again at the end to collect the tied cells.
     """
     # imported here: partition imports this module
     from .partition import _outer, _points
@@ -288,19 +291,36 @@ def _sweep_gevrey(s: float, radius: int, n: int):
         table[_outer(np.add, [diff * diff] * n)], (side.size,) * n)
     cone = _points(np.arange(radius + 1), n)
     cone = cone[np.all(cone[:, :-1] >= cone[:, 1:], axis=1)]
-    best = math.inf
-    ties = []  # (k, l) rows of the cells at the running minimum
+    tK = table[np.sum(cone * cone, axis=1)]
     chunk = 16
-    for start in range(0, len(cone), chunk):
+    # one margin buffer and one for delta * min, reused by every chunk
+    out = np.empty((chunk, side.size ** n))
+    low = np.empty_like(out)
+    blocks = out.reshape((chunk,) + (side.size,) * n)
+
+    def margin(start):
         k = cone[start : start + chunk]
-        tD = windows[tuple((radius - k).T)].reshape(len(k), -1)
-        margin = tL + tD - delta * np.minimum(tD, tL) - table[np.sum(k * k, axis=1)][:, None]
-        m = float(np.min(margin))
-        if m > best:
-            continue
+        for block, corner in zip(blocks, radius - k):
+            block[...] = windows[tuple(corner)]
+        tD, sub = out[: len(k)], low[: len(k)]
+        np.minimum(tD, tL, out=sub)
+        sub *= delta
+        tD += tL  # IEEE + commutes: the bits of tL + tD
+        tD -= sub
+        tD -= tK[start : start + chunk, None]
+        return k, tD
+
+    best, at_best = math.inf, []  # chunk starts at the running minimum
+    for start in range(0, len(cone), chunk):
+        m = float(np.min(margin(start)[1]))
         if m < best:
-            best, ties = m, []
-        i, j = np.nonzero(margin == m)
+            best, at_best = m, [start]
+        elif m == best:
+            at_best.append(start)
+    ties = []  # (k, l) rows of the cells at the minimum
+    for start in at_best:
+        k, tD = margin(start)
+        i, j = np.nonzero(tD == best)
         ties.append(np.concatenate([k[i], l[j]], axis=1))
     return best, _first_image(np.concatenate(ties), n), side.size ** (2 * n)
 
@@ -347,11 +367,18 @@ def _sweep_loglog(s: float, grid_max: float, step: float, n_random: int):
     worst = (0.0, 0.0)
     count = 0
     chunk = 16
+    total = np.empty((chunk, m + 1))
+    low = np.empty_like(total)
     for start in range(0, m + 1, chunk):
         stop = min(start + chunk, m + 1)
         wy = W[start:stop, None]
         wxy = rows[start:stop]
-        margin = wy + wxy - s * np.minimum(wy, wxy) - W[None, :]
+        # the bits of wy + wxy - s * np.minimum(wy, wxy) - W, in place
+        margin = np.add(wy, wxy, out=total[: stop - start])
+        sub = np.minimum(wy, wxy, out=low[: stop - start])
+        sub *= s
+        margin -= sub
+        margin -= W
         count += margin.size
         i, j = np.unravel_index(np.argmin(margin), margin.shape)
         val = float(margin[i, j])
@@ -387,6 +414,19 @@ def _sweep_elementary(n_points: int):
     return float(margin[i]), (float(xs[i]),), xs.size
 
 
+def _finite(v) -> bool:
+    """Whether v is a number whose float is finite; an int beyond the float range is not."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _int_in(lo: int, hi: float = math.inf):
+    """A test for an int in [lo, hi] whose float is finite."""
+    return lambda v: type(v) is int and _finite(v) and lo <= v <= hi
+
+
 # each kind's params keys, required and optional, and its domain keys
 _SWEEP_KEYS = {
     "gevrey": (("s",), (), ("n", "radius")),
@@ -394,9 +434,20 @@ _SWEEP_KEYS = {
     "elementary": ((), (), ("n_points",)),
 }
 
+# each domain key's rule: (what it takes, test)
+_DOMAIN_RULES = {
+    "n": ("1 or 2", _int_in(1, 2)),
+    "radius": ("an integer >= 0", _int_in(0)),
+    "grid_max": ("a finite number >= 0", lambda v: _finite(v) and v >= 0),
+    "step": ("a finite number > 0", lambda v: _finite(v) and v > 0),
+    "n_random": ("an integer >= 0", _int_in(0)),
+    "n_points": ("an integer > 0", _int_in(1)),
+}
+
 
 def _check_sweep_keys(kind: str, params: dict, domain: dict) -> None:
-    """Raise ValueError naming the first missing or unknown params or domain key."""
+    """Raise ValueError naming the first missing or unknown params or domain
+    key, or the first domain value its rule rejects."""
     required, optional, domain_keys = _SWEEP_KEYS[kind]
     for what, given, needed, allowed in (
             ("params", params, required, required + optional),
@@ -408,6 +459,11 @@ def _check_sweep_keys(kind: str, params: dict, domain: dict) -> None:
         if unknown:
             raise ValueError(f"{kind} sweep takes no {what} key {unknown[0]!r}; "
                              f"its {what} keys: {', '.join(allowed) or 'none'}")
+    for key in domain_keys:
+        what, ok = _DOMAIN_RULES[key]
+        if not ok(domain[key]):
+            raise ValueError(f"{kind} sweep: {key} must be {what}, "
+                             f"got {reprlib.repr(domain[key])}")
 
 
 def _regime_param(params: dict, regime: str, key: str):
@@ -422,18 +478,20 @@ def verify_weight_inequality(kind: str, params: dict,
     """Sweep one of the three weight inequalities and report margins.
 
     Each kind takes exactly these keys; a missing or unknown one is a
-    ValueError naming it.
+    ValueError naming it, and so is a domain value outside its range
+    (integers are ints, not bools or floats).
 
     kind = "gevrey": exponent triangle bound with subtraction factor
         delta = 2 - 2^(1/s) over an integer box.  params {"s": > 1},
-        domain {"n": 1|2, "radius": int}.
+        domain {"n": 1|2, "radius": int >= 0}.
     kind = "loglog": subadditivity of w up to -s*min(...).  params {} or
         {"s": in (0, 1]}, s defaulting to s_admissible = 1 - p0; domain
-        {"grid_max", "step", "n_random"}.  The grid [0, grid_max]^2 is
-        swept with the given step, plus n_random points of a uniform
-        cloud in [0, 1e6]^2 with seed 20260814.
+        {"grid_max": finite >= 0, "step": finite > 0, "n_random": int
+        >= 0}.  The grid [0, grid_max]^2 is swept with the given step,
+        plus n_random points of a uniform cloud in [0, 1e6]^2 with seed
+        20260814.
     kind = "elementary": composition bound for |xi|^(1+eps), eps = 1/2,
-        on xi in [0, 1e4].  params {}, domain {"n_points"}.
+        on xi in [0, 1e4].  params {}, domain {"n_points": int > 0}.
 
     All margins are computed on exponents (log domain); pass means
     min_margin >= -1e-12.
@@ -444,12 +502,9 @@ def verify_weight_inequality(kind: str, params: dict,
 
     if kind == "gevrey":
         s = float(params["s"])
-        if s <= 1.0:
+        if not s > 1.0:
             raise ValueError("gevrey inequality requires s > 1 (delta > 0)")
-        n = int(domain["n"])
-        if n not in (1, 2):
-            raise ValueError("n must be 1 or 2")
-        radius = int(domain["radius"])
+        n, radius = domain["n"], domain["radius"]
         margin, worst, count = _sweep_gevrey(s, radius, n)
         desc = f"integer box |k|_inf,|l|_inf <= {radius}, n={n}"
         params = {"s": s, "delta": 2.0 - 2.0 ** (1.0 / s)}
@@ -457,15 +512,14 @@ def verify_weight_inequality(kind: str, params: dict,
         s = float(params.get("s", analyze_weight().s_admissible))
         if not 0.0 < s <= 1.0:
             raise ValueError("loglog inequality requires 0 < s <= 1")
-        grid_max = float(domain["grid_max"])
-        step = float(domain["step"])
-        n_random = int(domain["n_random"])
+        grid_max, step = float(domain["grid_max"]), float(domain["step"])
+        n_random = domain["n_random"]
         margin, worst, count = _sweep_loglog(s, grid_max, step, n_random)
         desc = (f"grid [0,{grid_max:g}]^2 step {step:g} + {n_random} random points "
                 f"in [0,{_LOGLOG_RANDOM_MAX:g}]^2 (seed {_LOGLOG_SEED})")
         params = {"s": s}
     else:  # elementary
-        n_points = int(domain["n_points"])
+        n_points = domain["n_points"]
         margin, worst, count = _sweep_elementary(n_points)
         desc = f"xi in [0,{_ELEMENTARY_XI_MAX:g}], {n_points} uniform points"
         params = {"eps": _ELEMENTARY_EPS}

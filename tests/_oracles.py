@@ -29,6 +29,7 @@ from modspaces.modspace import (
     from_spectrum,
     mod_norm,
     multiply,
+    refine,
 )
 from modspaces.partition import WindowFunction, sigma_eval, sigma_partial
 from modspaces.specialfn import (
@@ -253,6 +254,23 @@ def lp_norm(f: SampledFunction, p) -> float:
     if p < 1:
         raise ValueError("p must be >= 1")
     return float((f.cell_volume * np.sum(a**p)) ** (1.0 / p))
+
+
+def algebra_ratios_per_norm(pairs, params: NormParams, scale: int) -> list:
+    """Product-norm ratios of the pairs at one refinement scale, one mod_norm per norm.
+
+    The route check_algebra_ratio took before it shared the weight-free
+    work across weights: both factors and the product refined, multiplied
+    and normed from scratch for this one weight.
+    """
+    pf = NormParams(2.0 * params.p, params.q, params.weight, params.mode, params.k_max)
+    out = []
+    for f, g in pairs:
+        ff, gg = refine(f, scale), refine(g, scale)
+        denom = mod_norm(ff, pf) * mod_norm(gg, pf)
+        num = mod_norm(multiply(ff, gg), params)
+        out.append(num / denom if denom > 0 else math.inf)
+    return out
 
 
 def sweep_gevrey_full_box(s: float, radius: int, n: int):

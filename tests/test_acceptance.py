@@ -171,7 +171,7 @@ def _algebra_corpus(n_pairs=50):
     ids=["gevrey", "loglog", "polynomial"],
 )
 def test_acceptance_06a_algebra_ratios(weight, p, q):
-    rep = check_algebra_ratio(_algebra_corpus(), NormParams(p, q, weight))
+    [rep] = check_algebra_ratio(_algebra_corpus(), [NormParams(p, q, weight)])
     assert rep.passed
     assert math.isfinite(rep.extra["max_ratio"])
     assert rep.extra["rel_change"] < 0.05

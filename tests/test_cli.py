@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modspaces import cli, modspace
 from modspaces.cli import _CONFIG, _config_problem, main
 from modspaces.modspace import SampledFunction, load_function, save_function
 from modspaces.specialfn import density_by_name
@@ -734,3 +735,24 @@ def test_report_merge_of_any_documents_is_one_strict_json_verdict(docs):
             code = main(["report", "merge", tmp])
     assert code in (0, 1)
     assert _strict(out.getvalue())["passed"] is (code == 0)
+
+
+def test_verify_algebra_shares_refine_and_multiply_across_weights(monkeypatch):
+    # 50 pairs x 2 scales, once for all three weights; a check per
+    # weight would make 300 multiply and 600 refine calls
+    calls = {"multiply": 0, "refine": 0}
+
+    def counting(name):
+        fn = getattr(modspace, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(modspace, name, counting(name))
+    out = cli.verify_algebra("full", {})
+    assert [c["kind"] for c in out["checks"]] == [
+        "algebra_ratio_gevrey", "algebra_ratio_loglog", "algebra_ratio_polynomial"]
+    assert calls == {"multiply": 100, "refine": 200}

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modspaces import modspace
+from modspaces import cli, modspace
 from modspaces.modspace import (
     NormParams,
     SampledFunction,
@@ -689,7 +689,7 @@ def test_check_algebra_ratio_constant_pair_is_one():
     # p1 = p2 = 2p the (2L)^(1/p) factors cancel exactly.
     one = synthesize("mode", k=0, N=32)
     params = NormParams(2.0, 1.0, WeightSpec.polynomial(2.0))
-    rep = check_algebra_ratio([(one, one)], params)
+    [rep] = check_algebra_ratio([(one, one)], [params])
     assert rep.passed
     assert rep.extra["max_ratio"] == pytest.approx(1.0, rel=1e-12)
 
@@ -703,11 +703,59 @@ def test_check_algebra_ratio_corpus():
         for i in range(4)
     ]
     params = NormParams(2.0, 2.0, WeightSpec.gevrey(2.0))
-    rep = check_algebra_ratio(corpus, params)
+    [rep] = check_algebra_ratio(corpus, [params])
     assert rep.passed
     assert len(rep.extra["ratios"]) == 4
     assert all(math.isfinite(r) for r in rep.extra["ratios"])
     assert rep.extra["rel_change"] < 0.05
+
+
+def _algebra_params(**changes):
+    return [NormParams(**{"p": 2.0, "q": 2.0, "weight": w, **changes})
+            for w in cli._ALGEBRA_WEIGHTS.values()]
+
+
+def _zero_pair():
+    g = synthesize("random_bandlimited", B=20.0, N=128, seed=101)
+    return g.copy_with(np.zeros(128)), g
+
+
+def test_check_algebra_ratio_matches_per_norm_route():
+    # the shared weight-free work against one mod_norm per norm and weight,
+    # exactly, at both scales; the zero factor's ratio is inf on both routes
+    pairs = cli._algebra_corpus(10) + [_zero_pair()]
+    params = _algebra_params()
+    reports = check_algebra_ratio(pairs, params)
+    assert len(reports) == 3
+    for rep, par in zip(reports, params):
+        assert rep.params == par.to_dict()
+        assert rep.extra["ratios"] == orc.algebra_ratios_per_norm(pairs, par, 1)
+        assert rep.extra["ratios_refined"] == orc.algebra_ratios_per_norm(pairs, par, 2)
+        assert rep.extra["ratios"][-1] == math.inf
+
+
+def test_check_algebra_ratio_zero_factor_is_inf_not_nan():
+    # unguarded, rel_change would be |inf - inf| / inf = nan
+    pairs = cli._algebra_corpus(2) + [_zero_pair()]
+    for rep in check_algebra_ratio(pairs, _algebra_params()):
+        assert rep.extra["max_ratio"] == rep.extra["max_ratio_refined"] == math.inf
+        assert rep.extra["rel_change"] == math.inf
+        assert rep.min_margin == -math.inf and not rep.passed
+
+
+@pytest.mark.parametrize("corpus, params, match", [
+    ([], _algebra_params(), r"at least one \(f, g\) pair"),
+    ("corpus", [], "at least one NormParams"),
+    ("corpus", _algebra_params()[:1] + _algebra_params(p=1.0)[1:], "p is 2.0 and 1.0"),
+    ("corpus", _algebra_params()[:2] + _algebra_params(q=1.0)[2:], "q is 2.0 and 1.0"),
+    ("corpus", _algebra_params()[:1] + _algebra_params(mode="continuum")[1:],
+     "mode is 'lattice' and 'continuum'"),
+    ("corpus", _algebra_params()[:1] + _algebra_params(k_max=10)[1:], "k_max is None and 10"),
+], ids=["empty-corpus", "empty-params", "p", "q", "mode", "k_max"])
+def test_check_algebra_ratio_rejects_empty_or_mixed_input(corpus, params, match):
+    corpus = cli._algebra_corpus(1) if corpus == "corpus" else corpus
+    with pytest.raises(ValueError, match=match):
+        check_algebra_ratio(corpus, params)
 
 
 # ----------------------------------------------------------------------

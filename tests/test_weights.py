@@ -286,8 +286,9 @@ def test_sweep_elementary_passes():
 
 
 def test_sweep_validation_errors():
-    with pytest.raises(ValueError, match="s > 1"):
-        verify_weight_inequality("gevrey", {"s": 1.0}, {"n": 1, "radius": 4})
+    for s in (1.0, math.nan):
+        with pytest.raises(ValueError, match="s > 1"):
+            verify_weight_inequality("gevrey", {"s": s}, {"n": 1, "radius": 4})
     with pytest.raises(ValueError, match="n must be 1 or 2"):
         verify_weight_inequality("gevrey", {"s": 2.0}, {"n": 3, "radius": 4})
     with pytest.raises(ValueError, match="0 < s <= 1"):
@@ -327,6 +328,26 @@ def test_sweep_rejects_a_missing_key(kind):
             verify_weight_inequality(kind, {}, domain)
     else:  # s is optional for loglog, and elementary takes no params key
         assert verify_weight_inequality(kind, {}, domain).passed
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("gevrey", "radius", 2.7),
+    ("gevrey", "radius", -3),
+    ("gevrey", "n", 1.9),
+    ("gevrey", "n", True),
+    ("loglog", "n_random", 2.5),
+    ("loglog", "n_random", -5),
+    ("loglog", "step", 0),
+    ("loglog", "grid_max", -10),
+    ("loglog", "grid_max", math.nan),
+    ("elementary", "n_points", 1.5),
+    ("elementary", "n_points", 0),
+], ids=lambda v: repr(v) if not isinstance(v, str) else v)
+def test_sweep_rejects_a_bad_domain_value(kind, key, value):
+    # without the up-front check these ran on a truncated value or raised from numpy
+    params, domain, _ = _SWEEP_CALLS[kind]
+    with pytest.raises(ValueError, match=f"{kind} sweep: {key} must be .*, got {value!r}"):
+        verify_weight_inequality(kind, params, {**domain, key: value})
 
 
 def test_report_serialization_round_trip():
