@@ -258,6 +258,21 @@ class VerificationReport:
 
 LOG_TOL = 1e-12  # absolute tolerance for "margin >= 0" in the log domain
 
+# The most elements one table or buffer of a sweep may hold: 2^26
+# float64 values are 512 MiB.  A domain that needs more is a ValueError
+# naming its key, raised before anything is allocated.
+_MAX_ELEMENTS = 1 << 26
+
+# rows of k cells (exponent sweep) or of grid rows (loglog sweep) per chunk
+_CHUNK = 16
+
+
+def _check_elements(kind: str, key: str, value, elements: float) -> None:
+    """Raise ValueError naming key when an array of the sweep would exceed _MAX_ELEMENTS."""
+    if not elements <= _MAX_ELEMENTS:
+        raise ValueError(f"{kind} sweep: {key} {reprlib.repr(value)} needs an array of "
+                         f"{elements:.3g} elements, over the cap of {_MAX_ELEMENTS}")
+
 
 def _sweep_gevrey(s: float, radius: int, n: int):
     """Min margin of the triangle-type exponent bound on a lattice box.
@@ -280,6 +295,10 @@ def _sweep_gevrey(s: float, radius: int, n: int):
     # imported here: partition imports this module
     from .partition import _outer, _points
 
+    chunk = _CHUNK
+    # the largest arrays: the table, the |k-l|^2 box and the chunk buffers
+    _check_elements("gevrey", "radius", radius, max(
+        4 * n * radius * radius + 1, (4 * radius + 1) ** n, chunk * (2 * radius + 1) ** n))
     delta = 2.0 - 2.0 ** (1.0 / s)
     # |l-k|^2 can reach n*(2*radius)^2
     table = np.arange(4 * n * radius * radius + 1, dtype=float) ** (0.5 * (1.0 / s))
@@ -292,7 +311,6 @@ def _sweep_gevrey(s: float, radius: int, n: int):
     cone = _points(np.arange(radius + 1), n)
     cone = cone[np.all(cone[:, :-1] >= cone[:, 1:], axis=1)]
     tK = table[np.sum(cone * cone, axis=1)]
-    chunk = 16
     # one margin buffer and one for delta * min, reused by every chunk
     out = np.empty((chunk, side.size ** n))
     low = np.empty_like(out)
@@ -346,64 +364,125 @@ _LOGLOG_SEED, _LOGLOG_RANDOM_MAX = 20260814, 1e6
 _ELEMENTARY_EPS, _ELEMENTARY_XI_MAX = 0.5, 1e4
 
 
+def _loglog_cloud(s: float, n_random: int):
+    """Min margin of the loglog inequality over the seeded uniform cloud in
+    [0, 1e6]^2, and its (x, y); (inf, None) for an empty cloud."""
+    if not n_random:
+        return math.inf, None
+    rng = np.random.default_rng(_LOGLOG_SEED)
+    xs = rng.uniform(0.0, _LOGLOG_RANDOM_MAX, size=n_random)
+    ys = rng.uniform(0.0, _LOGLOG_RANDOM_MAX, size=n_random)
+    wy = w_star(ys)
+    wxy = w_star(np.abs(xs - ys))
+    margin = wy + wxy - s * np.minimum(wy, wxy) - w_star(xs)
+    i = int(np.argmin(margin))
+    return float(margin[i]), (float(xs[i]), float(ys[i]))
+
+
+def _loglog_grid(W: np.ndarray, s: float, bar: float):
+    """First row-major minimum of the loglog margin over a grid table, and the cells evaluated.
+
+    Cell (i, j), row y = i and column x = j, has the margin
+    W[i] + W[|i-j|] - s*min(W[i], W[|i-j|]) - W[j], 0 < s <= 1.  Returns
+    (margin, (i, j), cells evaluated).  Margin and cell are the full
+    sweep's whenever its minimum is <= bar; otherwise margin is > bar
+    (inf when no cell was evaluated).  Row i of W[|i-j|] is a window of
+    the mirrored table (W[m], ..., W[1], W[0], W[1], ..., W[m]).
+
+    Rows go in chunks [a, b).  A chunk is skipped, or evaluated from
+    column 2a on, when lower bounds on the cells left out clear
+    min(best so far, bar) + slack.  For W nonnegative and nondecreasing:
+
+      * j >= i: (i, j) and (j-i, j) have the same bits, since IEEE + and
+        min commute.  For j < 2i the partner lies in an earlier row, where
+        it was evaluated first or covered by a bound; so row i needs only
+        the cells j >= 2i.
+      * j < i: W[i] >= W[j], so the margin is >= (1-s)*W[i-j] >= (1-s)*W[0].
+      * j >= 2i, i in [a, b): min is W[i] and W[j-i] >= W[max(j-b+1, 0)],
+        so the margin is >= (1-s)*W[a] - max_{j >= 2a} (W[j] - W[max(j-b+1, 0)]).
+
+    Rounding: every value in a margin or a bound has magnitude <= T =
+    2*W[m], so a computed margin or bound lies within 2 ulp(T) of its
+    exact value (four roundings of <= ulp(T)/2 each), and adding the
+    slack rounds by <= ulp(T).  With slack = 8 ulp(T), a cleared bound
+    keeps every computed margin it covers above min(best so far, bar):
+    by these error bounds when that minimum lies in [-T, T], because
+    every margin is >= -T/2 - 2 ulp(T) when it lies below, and because
+    no bound (<= T/2) clears it when it lies above.  So neither the
+    running minimum nor a tie with it is ever skipped.  For any other W
+    every bound is -inf and whole rows are evaluated.
+    """
+    m = len(W) - 1
+    rows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([W[:0:-1], W]), m + 1)[::-1]
+    prunes = bool(W[0] >= 0 and np.all(W[1:] >= W[:-1]))
+    below_diagonal = (1.0 - s) * W[0] if prunes else -math.inf
+    slack = 8.0 * math.ulp(2.0 * float(W[-1]))
+
+    best, at, evaluated = math.inf, None, 0
+    chunk = _CHUNK
+    # margin and s * min buffers, reused by every chunk
+    total = np.empty(chunk * (m + 1))
+    low = np.empty_like(total)
+    for a in range(0, m + 1, chunk):
+        b = min(a + chunk, m + 1)
+        threshold = min(best, bar) + slack
+        first = 0
+        if below_diagonal > threshold:
+            if 2 * a > m:
+                continue
+            # max over j >= 2a of W[j] - W[max(j - lag, 0)]: for j < lag
+            # the term at j = lag <= m is no smaller
+            lag = b - 1
+            lo = max(2 * a, lag)
+            rise = np.max(np.subtract(W[lo:], W[lo - lag : m + 1 - lag], out=low[: m + 1 - lo]))
+            if (1.0 - s) * W[a] - rise > threshold:
+                continue
+            first = 2 * a
+        shape = (b - a, m + 1 - first)
+        size = shape[0] * shape[1]
+        wy = W[a:b, None]
+        wxy = rows[a:b, first:]
+        # the bits of wy + wxy - s * np.minimum(wy, wxy) - W, in place
+        margin = np.add(wy, wxy, out=total[:size].reshape(shape))
+        sub = np.minimum(wy, wxy, out=low[:size].reshape(shape))
+        sub *= s
+        margin -= sub
+        margin -= W[first:]
+        evaluated += size
+        i, j = np.unravel_index(np.argmin(margin), shape)
+        val = float(margin[i, j])
+        if val < best:
+            best, at = val, (a + int(i), first + int(j))
+    return best, at, evaluated
+
+
 def _sweep_loglog(s: float, grid_max: float, step: float, n_random: int):
     """Min margin of w(x) <= w(y) + w(x-y) - s*min(w(y), w(x-y)).
 
     The rectangular grid is uniform with the given step, so w(|x-y|)
     is a lookup into the same table W as w(x), w(y) via index distance.
-    Row y of W[|y - x|] is the window V[m-y : 2m-y+1] of the mirrored
-    table V = (W[m], ..., W[1], W[0], W[1], ..., W[m]), so the row
-    blocks are slices of V's sliding windows in reverse order: views
-    that copy nothing.  A seeded uniform cloud in [0, 1e6]^2 probes the
-    far field.
+    A seeded uniform cloud in [0, 1e6]^2 probes the far field.  It is
+    evaluated first, so its minimum prunes the grid (_loglog_grid); the
+    cloud's point wins only when it is strictly below the grid's.
     """
+    _check_elements("loglog", "n_random", n_random, n_random)
+    # the largest arrays are the chunk buffers of _loglog_grid
+    _check_elements("loglog", "grid_max", grid_max, _CHUNK * (grid_max / step + 1))
     m = int(round(grid_max / step))
     ts = np.arange(m + 1) * step
-    W = w_star(ts)
-    rows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([W[:0:-1], W]), m + 1)[::-1]
-
-    best_margin = math.inf
-    worst = (0.0, 0.0)
-    count = 0
-    chunk = 16
-    total = np.empty((chunk, m + 1))
-    low = np.empty_like(total)
-    for start in range(0, m + 1, chunk):
-        stop = min(start + chunk, m + 1)
-        wy = W[start:stop, None]
-        wxy = rows[start:stop]
-        # the bits of wy + wxy - s * np.minimum(wy, wxy) - W, in place
-        margin = np.add(wy, wxy, out=total[: stop - start])
-        sub = np.minimum(wy, wxy, out=low[: stop - start])
-        sub *= s
-        margin -= sub
-        margin -= W
-        count += margin.size
-        i, j = np.unravel_index(np.argmin(margin), margin.shape)
-        val = float(margin[i, j])
-        if val < best_margin:
-            best_margin = val
-            worst = (float(ts[j]), float(ts[start + i]))  # (x, y)
-
-    if n_random:
-        rng = np.random.default_rng(_LOGLOG_SEED)
-        xs = rng.uniform(0.0, _LOGLOG_RANDOM_MAX, size=n_random)
-        ys = rng.uniform(0.0, _LOGLOG_RANDOM_MAX, size=n_random)
-        wy = w_star(ys)
-        wxy = w_star(np.abs(xs - ys))
-        margin = wy + wxy - s * np.minimum(wy, wxy) - w_star(xs)
-        count += margin.size
-        i = int(np.argmin(margin))
-        if float(margin[i]) < best_margin:
-            best_margin = float(margin[i])
-            worst = (float(xs[i]), float(ys[i]))
-
-    return best_margin, worst, count
+    cloud_margin, cloud_point = _loglog_cloud(s, n_random)
+    margin, cell, _ = _loglog_grid(w_star(ts), s, cloud_margin)
+    count = (m + 1) ** 2 + n_random
+    if cloud_margin < margin:
+        return cloud_margin, cloud_point, count
+    i, j = cell
+    return margin, (float(ts[j]), float(ts[i])), count
 
 
 def _sweep_elementary(n_points: int):
     """Min margin of w(|xi|^(1+eps)) <= (1+eps)*log(b(xi))*(eps + loglog(b(xi))), eps = 1/2."""
+    _check_elements("elementary", "n_points", n_points, n_points)
     eps = _ELEMENTARY_EPS
     xs = np.linspace(0.0, _ELEMENTARY_XI_MAX, n_points)
     logb = np.log(bracket_star(xs))
@@ -479,7 +558,9 @@ def verify_weight_inequality(kind: str, params: dict,
 
     Each kind takes exactly these keys; a missing or unknown one is a
     ValueError naming it, and so is a domain value outside its range
-    (integers are ints, not bools or floats).
+    (integers are ints, not bools or floats), an s that is no finite
+    number (a bool or a string is none), and a domain that would need
+    an array of more than 2^26 elements.
 
     kind = "gevrey": exponent triangle bound with subtraction factor
         delta = 2 - 2^(1/s) over an integer box.  params {"s": > 1},
@@ -501,17 +582,21 @@ def verify_weight_inequality(kind: str, params: dict,
     _check_sweep_keys(kind, params, domain)
 
     if kind == "gevrey":
-        s = float(params["s"])
-        if not s > 1.0:
-            raise ValueError("gevrey inequality requires s > 1 (delta > 0)")
+        s = params["s"]
+        if not (_finite(s) and s > 1.0):
+            raise ValueError("gevrey inequality requires a finite number s > 1 (delta > 0), "
+                             f"got s = {reprlib.repr(s)}")
+        s = float(s)
         n, radius = domain["n"], domain["radius"]
         margin, worst, count = _sweep_gevrey(s, radius, n)
         desc = f"integer box |k|_inf,|l|_inf <= {radius}, n={n}"
         params = {"s": s, "delta": 2.0 - 2.0 ** (1.0 / s)}
     elif kind == "loglog":
-        s = float(params.get("s", analyze_weight().s_admissible))
-        if not 0.0 < s <= 1.0:
-            raise ValueError("loglog inequality requires 0 < s <= 1")
+        s = params.get("s", analyze_weight().s_admissible)
+        if not (_finite(s) and 0.0 < s <= 1.0):
+            raise ValueError("loglog inequality requires a finite number 0 < s <= 1, "
+                             f"got s = {reprlib.repr(s)}")
+        s = float(s)
         grid_max, step = float(domain["grid_max"]), float(domain["step"])
         n_random = domain["n_random"]
         margin, worst, count = _sweep_loglog(s, grid_max, step, n_random)

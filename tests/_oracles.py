@@ -300,21 +300,16 @@ def sweep_gevrey_full_box(s: float, radius: int, n: int):
     return best[0], best[1], count
 
 
-def sweep_loglog_gather(s: float, grid_max: float, step: float, n_random: int,
-                        seed: int, random_max: float):
-    """(min_margin, worst_point, points_checked) of the loglog sweep by index gather.
+def loglog_grid_gather(W: np.ndarray, s: float):
+    """(min_margin, (i, j)) of the loglog margin over every cell of a grid table, by index gather.
 
-    Each block of 256 grid rows builds its |y - x| index matrix and
-    gathers W through it, as the package did before it read the rows
-    as windows of a mirrored table.
+    Each block of 256 rows builds its |i - j| index matrix and gathers
+    W through it; the first row-major minimizer wins.  W may be any
+    table, monotone or not.
     """
-    m = int(round(grid_max / step))
-    ts = np.arange(m + 1) * step
-    W = w_star(ts)
-
+    m = len(W) - 1
     best_margin = math.inf
-    worst = (0.0, 0.0)
-    count = 0
+    at = None
     chunk = 256
     for start in range(0, m + 1, chunk):
         stop = min(start + chunk, m + 1)
@@ -323,12 +318,26 @@ def sweep_loglog_gather(s: float, grid_max: float, step: float, n_random: int,
         idx_diff = np.abs(rows[:, None] - np.arange(m + 1)[None, :])
         wxy = W[idx_diff]
         margin = wy + wxy - s * np.minimum(wy, wxy) - W[None, :]
-        count += margin.size
         i, j = np.unravel_index(np.argmin(margin), margin.shape)
         val = float(margin[i, j])
         if val < best_margin:
             best_margin = val
-            worst = (float(ts[j]), float(ts[rows[i]]))
+            at = (int(rows[i]), int(j))
+    return best_margin, at
+
+
+def sweep_loglog_gather(s: float, grid_max: float, step: float, n_random: int,
+                        seed: int, random_max: float):
+    """(min_margin, worst_point, points_checked) of the loglog sweep by index gather.
+
+    Every grid cell is evaluated (loglog_grid_gather), then the cloud;
+    the cloud's point wins only when it is strictly below the grid's.
+    """
+    m = int(round(grid_max / step))
+    ts = np.arange(m + 1) * step
+    best_margin, (i, j) = loglog_grid_gather(w_star(ts), s)
+    worst = (float(ts[j]), float(ts[i]))
+    count = (m + 1) ** 2
 
     if n_random:
         rng = np.random.default_rng(seed)

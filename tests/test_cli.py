@@ -197,6 +197,22 @@ def test_config_problem_of_any_value_is_none_or_one_line(family_key, value):
     assert top is None or len(top.splitlines()) == 1
 
 
+@pytest.mark.parametrize("config, named", [
+    ({"loglog_grid_max": 1e12, "loglog_step": 0.001}, "grid_max"),
+    ({"gevrey_radius_2d": 100000}, "radius"),
+], ids=["loglog-7-PiB", "gevrey-2d-596-GiB"])
+def test_config_sweep_over_the_element_cap_is_usage_error(capsys, tmp_path, config, named):
+    # a domain too large to allocate is refused before numpy is asked
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"weights": config}))
+    code, doc, err = run_cli(capsys, "--config", str(cfg), "verify", "weights",
+                             "--profile", "quick")
+    assert code == 2
+    assert doc is None
+    assert len(err.strip().splitlines()) == 1
+    assert f"sweep: {named} " in err and "over the cap" in err
+
+
 def test_config_defaults_pass_their_own_rule():
     for family, rows in _CONFIG.items():
         for key, (quick, full, (what, test)) in rows.items():

@@ -2,8 +2,11 @@
 
 import math
 import os
+import re
+import reprlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modspaces
+from modspaces import weights
 from modspaces.weights import (
     LOG_TOL,
     SHIFT,
@@ -249,6 +253,84 @@ def test_sweep_loglog_matches_index_gather(s, grid_max, step, n_random):
     assert (rep.min_margin, rep.worst_point, rep.points_checked) == (margin, worst, count)
 
 
+# s in (0, 1], s = 1 included; grids of one point, a few steps or an odd
+# number of steps, so chunks of 16 rows end inside the grid
+_LOGLOG_S = st.one_of(st.just(1.0), st.just(0.99),
+                      st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False))
+_LOGLOG_STEPS = st.sampled_from([0.25, 0.5, 1.0, 3.0])
+_LOGLOG_ROWS = st.one_of(st.just(0), st.integers(1, 20), st.integers(0, 200).map(lambda k: 2 * k + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=_LOGLOG_S, step=_LOGLOG_STEPS, rows=_LOGLOG_ROWS,
+       n_random=st.sampled_from([0, 1, 1000]))
+def test_sweep_loglog_pruned_equals_full_grid(s, step, rows, n_random):
+    # the pruned sweep against every cell of the grid, then the cloud
+    grid_max = rows * step
+    rep = verify_weight_inequality(
+        "loglog", {"s": s}, {"grid_max": grid_max, "step": step, "n_random": n_random})
+    assert (rep.min_margin, rep.worst_point, rep.points_checked) == orc.sweep_loglog_gather(
+        s, grid_max, step, n_random, 20260814, 1e6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=_LOGLOG_S, step=_LOGLOG_STEPS, rows=_LOGLOG_ROWS,
+       cloud=st.sampled_from(["below", "tie", "above"]))
+def test_sweep_loglog_cloud_wins_only_strictly_below(s, step, rows, cloud):
+    # a cloud one ulp below the grid's minimum wins, and prunes nothing
+    # that holds it; a tied cloud leaves the grid's first minimizer
+    grid_max = rows * step
+    margin, worst, count = orc.sweep_loglog_gather(s, grid_max, step, 0, 20260814, 1e6)
+    bar = {"below": math.nextafter(margin, -math.inf), "tie": margin,
+           "above": math.nextafter(margin, math.inf)}[cloud]
+    with mock.patch.object(weights, "_loglog_cloud", return_value=(bar, (-1.0, -2.0))):
+        got = weights._sweep_loglog(s, grid_max, step, 1)
+    expected = (bar, (-1.0, -2.0)) if cloud == "below" else (margin, worst)
+    assert got == (*expected, count + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=_LOGLOG_S,
+       rises=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 50.0)),
+                      min_size=40, max_size=200),
+       start=st.floats(0.0, 10.0), above=st.sampled_from([0.0, 1e-12, 0.5, math.inf]))
+def test_loglog_grid_holds_its_contract_on_nondecreasing_tables(s, rises, start, above):
+    # any nonnegative nondecreasing table prunes; with a bar at or above
+    # the grid's minimum the minimum and its first cell must survive
+    W = start + np.cumsum([0.0] + rises)
+    expected = orc.loglog_grid_gather(W, s)
+    margin, cell, evaluated = weights._loglog_grid(W, s, expected[0] + above)
+    assert (margin, cell) == expected
+    assert 0 < evaluated <= W.size ** 2
+
+
+_TS = np.arange(301) * 0.5
+
+
+@pytest.mark.parametrize("W", [
+    w_star(_TS)[::-1].copy(),                                   # decreasing
+    np.where(np.arange(301) == 150, 1.0, w_star(_TS)),          # one dip
+    np.random.default_rng(3).permutation(w_star(_TS)),          # shuffled
+    w_star(_TS) - 4.0,                                          # increasing from below 0
+], ids=["decreasing", "dip", "shuffled", "negative-start"])
+@pytest.mark.parametrize("s", [0.3, 0.99, 1.0])
+def test_loglog_grid_evaluates_every_cell_of_other_tables(W, s):
+    # the bounds need W nonnegative and nondecreasing; without that even
+    # a bar far below every margin skips nothing
+    margin, cell, evaluated = weights._loglog_grid(W, s, -1e9)
+    assert evaluated == W.size ** 2
+    assert (margin, cell) == orc.loglog_grid_gather(W, s)
+
+
+def test_loglog_grid_skips_most_of_the_full_profile_grid():
+    # the full campaign's domain: the admissible sweep and the s = 0.99 probe
+    W = w_star(np.arange(4001) * 0.5)
+    for s, share in ((analyze_weight().s_admissible, 0.05), (0.99, 0.01)):
+        bar, _ = weights._loglog_cloud(s, 100_000)
+        _, _, evaluated = weights._loglog_grid(W, s, bar)
+        assert evaluated <= share * 4001 ** 2, (s, evaluated)
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # the critical constants are bisected with numpy alone
     src = os.path.dirname(os.path.dirname(modspaces.__file__))
@@ -348,6 +430,35 @@ def test_sweep_rejects_a_bad_domain_value(kind, key, value):
     params, domain, _ = _SWEEP_CALLS[kind]
     with pytest.raises(ValueError, match=f"{kind} sweep: {key} must be .*, got {value!r}"):
         verify_weight_inequality(kind, params, {**domain, key: value})
+
+
+@pytest.mark.parametrize("kind, s", [
+    ("gevrey", "2"), ("gevrey", math.inf), ("gevrey", [2]), ("gevrey", True),
+    ("loglog", True), ("loglog", "0.5"), ("loglog", math.inf), ("loglog", [2]),
+], ids=lambda v: repr(v) if not isinstance(v, str) else v)
+def test_sweep_rejects_an_s_that_is_no_finite_number(kind, s):
+    # float() used to turn these into 2.0, 1.0 and delta = 1, or raise TypeError
+    params, domain, _ = _SWEEP_CALLS[kind]
+    with pytest.raises(ValueError, match=f"requires a finite number .*got s = "
+                                         f"{re.escape(reprlib.repr(s))}$"):
+        verify_weight_inequality(kind, {**params, "s": s}, domain)
+
+
+@pytest.mark.parametrize("kind, domain, key", [
+    ("loglog", {"grid_max": 1e12, "step": 0.001, "n_random": 0}, "grid_max"),
+    ("loglog", {"grid_max": 1e300, "step": 1e-300, "n_random": 0}, "grid_max"),
+    ("loglog", {"grid_max": 4.0, "step": 1.0, "n_random": 10**12}, "n_random"),
+    ("gevrey", {"n": 2, "radius": 100_000}, "radius"),
+    ("gevrey", {"n": 1, "radius": 10**6}, "radius"),
+    ("elementary", {"n_points": 10**12}, "n_points"),
+], ids=["loglog-7-PiB", "loglog-inf", "cloud", "gevrey-2d", "gevrey-1d", "elementary"])
+def test_sweep_over_the_element_cap_is_a_value_error(kind, domain, key):
+    # checked before anything is allocated; numpy used to fail, or the
+    # float grid size overflowed int()
+    params = _SWEEP_CALLS[kind][0]
+    with pytest.raises(ValueError, match=f"{kind} sweep: {key} .* over the cap of "
+                                         f"{weights._MAX_ELEMENTS}"):
+        verify_weight_inequality(kind, params, domain)
 
 
 def test_report_serialization_round_trip():
