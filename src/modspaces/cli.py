@@ -76,7 +76,15 @@ from .superpose import (
     product_identity_check,
     subalgebra_ladder,
 )
-from .weights import WeightSpec, _finite, _int_in, analyze_weight, verify_weight_inequality
+from .weights import (
+    _MAX_ELEMENTS,
+    LoglogCloud,
+    WeightSpec,
+    _finite,
+    _int_in,
+    analyze_weight,
+    verify_weight_inequality,
+)
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -274,17 +282,15 @@ def verify_weights(profile: str, config: dict) -> dict:
                 {"n": 2, "radius": st["gevrey_radius_2d"]})
             checks.append(rep2.to_dict())
 
-    rep = verify_weight_inequality(
-        "loglog", {},
-        {"grid_max": st["loglog_grid_max"], "step": st["loglog_step"],
-         "n_random": st["loglog_random"]})
+    loglog_domain = {"grid_max": st["loglog_grid_max"], "step": st["loglog_step"],
+                     "n_random": st["loglog_random"]}
+    # the admissible sweep and the probe share one draw of the far-field cloud
+    cloud = LoglogCloud(st["loglog_random"])
+    rep = verify_weight_inequality("loglog", {}, loglog_domain, cloud=cloud)
     checks.append(rep.to_dict())
 
     if st["sharpness_probe"]:
-        probe = verify_weight_inequality(
-            "loglog", {"s": 0.99},
-            {"grid_max": st["loglog_grid_max"], "step": st["loglog_step"],
-             "n_random": st["loglog_random"]})
+        probe = verify_weight_inequality("loglog", {"s": 0.99}, loglog_domain, cloud=cloud)
         d = probe.to_dict()
         d["kind"] = "loglog_sharpness_probe"
         # The probe passes when the inequality is violated: s = 0.99 is
@@ -293,6 +299,7 @@ def verify_weights(profile: str, config: dict) -> dict:
         d["passed"] = not probe.passed
         d["min_margin"] = -probe.min_margin
         checks.append(d)
+    del cloud  # its arrays would add to the elementary sweep's peak memory
 
     checks.append(verify_weight_inequality(
         "elementary", {}, {"n_points": st["elementary_points"]}).to_dict())
@@ -673,6 +680,11 @@ def cmd_special(args, config: dict) -> int:
 def cmd_corpus_generate(args, config: dict) -> int:
     started = time.time()
     st = _family_settings("full", config, "corpus")
+    # every file's samples are one array of N^n values: checked against
+    # the sweeps' element cap before anything is allocated or written
+    if st["N"] ** st["n"] > _MAX_ELEMENTS:
+        raise ValueError(f"corpus key 'N' = {reprlib.repr(st['N'])} gives N^n samples per file "
+                         f"for n = {st['n']}, over the cap of {_MAX_ELEMENTS}")
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     entries = []

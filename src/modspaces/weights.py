@@ -42,6 +42,7 @@ __all__ = [
     "weight_eval",
     "log_weight_eval",
     "VerificationReport",
+    "LoglogCloud",
     "verify_weight_inequality",
 ]
 
@@ -265,6 +266,8 @@ _MAX_ELEMENTS = 1 << 26
 
 # rows of k cells (exponent sweep) or of grid rows (loglog sweep) per chunk
 _CHUNK = 16
+# l cells per axis of the tiles the exponent sweep keeps or drops
+_TILE = 4
 
 
 def _check_elements(kind: str, key: str, value, elements: float) -> None:
@@ -280,67 +283,154 @@ def _sweep_gevrey(s: float, radius: int, n: int):
     Margin(k,l) = |l|^(1/s) + |l-k|^(1/s)
                   - delta*min(|l-k|,|l|)^(1/s) - |k|^(1/s),
     delta = 2 - 2^(1/s).  Exponents depend only on squared radii, so
-    they are lookups into a table over every attainable integer squared
-    radius.  The margin depends on |k|^2, |l|^2 and |k-l|^2 only, and
-    the box is invariant under the 2^n n! signed permutations of the
-    axes applied to k and l together.  So k runs over the cone
-    radius >= k_1 >= ... >= k_n >= 0 and l over the whole box; chunks
-    of k cells are vectorized over all l.  The exponents of |k-l| over
-    the box are the window at radius - k of the table over every
-    difference, and since table is increasing,
-    table[min(D2, L2)] = min(table[D2], table[L2]).  Every chunk's
-    margins go into one buffer; the chunks at the minimum are computed
-    again at the end to collect the tied cells.
+    they are lookups into a table over the squared radii up to
+    n*(2*radius)^2, the largest |k-l|^2.  Only sums of n squares are
+    looked up, so only those are raised to the power 1/(2s); every other
+    entry repeats the last sum below it, which keeps the table
+    nondecreasing.  Since it is, table[min(D2, L2)] =
+    min(table[D2], table[L2]).  _gevrey_box sweeps the box on that table.
+    """
+    # imported here: partition imports this module
+    from .partition import _outer
+
+    # the largest arrays: the table, the |k-l|^2 box and the chunk buffers
+    size = 4 * n * radius * radius + 1
+    _check_elements("gevrey", "radius", radius, max(
+        size, (4 * radius + 1) ** n, _CHUNK * (2 * radius + 1) ** n))
+    occurs = np.zeros(size, dtype=bool)
+    occurs[_outer(np.add, [np.arange(2 * radius + 1) ** 2] * n)] = True
+    sums = np.flatnonzero(occurs)  # starts with 0
+    table = np.repeat(sums.astype(float) ** (0.5 * (1.0 / s)), np.diff(sums, append=size))
+    margin, worst, _ = _gevrey_box(table, 2.0 - 2.0 ** (1.0 / s), radius, n)
+    return margin, worst, (2 * radius + 1) ** (2 * n)
+
+
+def _gevrey_box(table: np.ndarray, delta: float, radius: int, n: int):
+    """First C-order minimum of the exponent margin over the box, and the cells evaluated.
+
+    Cell (k, l) of the box |k|_inf, |l|_inf <= radius has the margin
+    f(A, D, K) = D + A - delta*min(D, A) - K with A = table[|l|^2],
+    D = table[|k-l|^2] and K = table[|k|^2]; table covers every squared
+    radius up to n*(2*radius)^2.  Returns (margin, (k, l), cells
+    evaluated), margin and cell those of the loop over every cell in C
+    order.
+
+    The margin depends on |k|^2, |l|^2 and |k-l|^2 only, and the box is
+    invariant under the 2^n n! signed permutations of the axes applied
+    to k and l together.  So k runs over the cone
+    radius >= k_1 >= ... >= k_n >= 0, in chunks of 16, and l over the
+    box; _first_image maps the tied cells back.  D over the box is the
+    window at radius - k of the table over every difference.
+
+    Each chunk evaluates the bounding sub-box of the tiles of l (4 per
+    axis) it keeps.  For table[0] = 0, table nondecreasing and
+    0 <= delta <= 1, it drops a tile when one of these holds:
+
+      * Bound.  Each cell (k, 0) computes to exactly 0.0, since A = 0
+        and D = K, so the minimum is <= 0.  f is nondecreasing in A and
+        D and nonincreasing in K, so every cell of the tile has a margin
+        >= lb = f(table[min |l|^2], table[min |k-l|^2], table[max |k|^2]),
+        minima over the tile and the chunk's bounding box [kmin, kmax],
+        each a sum over the axes of a squared distance between
+        intervals.  Every value in a margin or in lb has magnitude <=
+        U = 2*table[-1], so each lies within 2 ulp(U) of its exact value
+        (four roundings of <= ulp(U)/2).  A tile with lb > 8 ulp(U) thus
+        holds only computed margins >= lb - 4 ulp(U) > 0, and drops
+        neither the minimum nor a tie with it.
+      * Mirror.  (k, l) and (k, k-l) have the same bits, since IEEE +
+        and min commute.  The tile is dropped when every cell lies
+        strictly on the far side, 2 k.l > |k|^2 (a sum over the axes of
+        minima at the corners of the tile and the bounding box), and
+        every mirror lies in the box.  Each mirror lies strictly on the
+        near side, so its tile is kept unless the bound drops it.  The
+        in-box mirrors of the tied cells join them before _first_image.
+
+    For any other table or delta every cell is evaluated.
     """
     # imported here: partition imports this module
     from .partition import _outer, _points
 
-    chunk = _CHUNK
-    # the largest arrays: the table, the |k-l|^2 box and the chunk buffers
-    _check_elements("gevrey", "radius", radius, max(
-        4 * n * radius * radius + 1, (4 * radius + 1) ** n, chunk * (2 * radius + 1) ** n))
-    delta = 2.0 - 2.0 ** (1.0 / s)
-    # |l-k|^2 can reach n*(2*radius)^2
-    table = np.arange(4 * n * radius * radius + 1, dtype=float) ** (0.5 * (1.0 / s))
+    chunk, tile = _CHUNK, _TILE
     side = np.arange(-radius, radius + 1)
-    l = _points(side, n)
-    tL = table[_outer(np.add, [side * side] * n).ravel()]
+    tL = table[_outer(np.add, [side * side] * n)]
     diff = np.arange(-2 * radius, 2 * radius + 1)
     windows = np.lib.stride_tricks.sliding_window_view(
-        table[_outer(np.add, [diff * diff] * n)], (side.size,) * n)
+        table[_outer(np.add, [diff * diff] * n)], tL.shape)
     cone = _points(np.arange(radius + 1), n)
     cone = cone[np.all(cone[:, :-1] >= cone[:, 1:], axis=1)]
-    tK = table[np.sum(cone * cone, axis=1)]
+    K2 = np.sum(cone * cone, axis=1)
+    tK = table[K2]
+    # each chunk's bounding box of k
+    starts = np.arange(0, len(cone), chunk)
+    kmin, kmax = np.minimum.reduceat(cone, starts), np.maximum.reduceat(cone, starts)
+    # the first and last l of each tile on one axis
+    lo = side[::tile]
+    hi = np.minimum(lo + tile - 1, radius)
+
+    def tiles(op, axes):
+        """(chunks,) + (tiles,) * n array from one (chunks, tiles) array per axis under op."""
+        return functools.reduce(op, [x.reshape((len(x),) + (1,) * a + (-1,) + (1,) * (n - 1 - a))
+                                     for a, x in enumerate(axes)])
+
+    # f(A, D, K) at min |l|^2 and min |k-l|^2 over each (chunk, tile), and max |k|^2
+    A = table[tiles(np.add, [np.where(lo * hi <= 0, 0, np.minimum(lo * lo, hi * hi))[None]] * n)]
+    D = table[tiles(np.add, [np.maximum(0, np.maximum(lo - b[:, None], a[:, None] - hi)) ** 2
+                             for a, b in zip(kmin.T, kmax.T)])]
+    K = table[np.maximum.reduceat(K2, starts)].reshape((-1,) + (1,) * n)
+    lb = D + A - delta * np.minimum(D, A) - K
+    # min of 2 k.l - |k|^2 = sum over the axes of k_a (2 l_a - k_a), at the corners
+    far = tiles(np.add, [np.min([c[:, None] * (2 * e - c[:, None]) for c in (a, b) for e in (lo, hi)],
+                                axis=0) for a, b in zip(kmin.T, kmax.T)]) > 0
+    # k - l >= -radius holds in the cone; k - l <= radius for every k needs l >= kmax - radius
+    mirrored = tiles(np.logical_and, [lo >= b[:, None] - radius for b in kmax.T])
+    prunes = bool(table[0] == 0 and np.all(table[1:] >= table[:-1]) and 0.0 <= delta <= 1.0)
+    slack = 8.0 * math.ulp(2.0 * float(table[-1]))
+    keep = ~(((lb > slack) | (far & mirrored)) & prunes)
+    # each chunk's bounding sub-box of its kept tiles, as slices of side
+    spans = []
+    for axis in range(n):
+        hit = np.any(keep, axis=tuple(a + 1 for a in range(n) if a != axis))
+        stop = tile * (hit.shape[1] - np.argmax(hit[:, ::-1], axis=1))
+        spans.append([slice(tile * a, min(b, side.size)) for a, b in zip(np.argmax(hit, axis=1), stop)])
+    boxes = list(zip(*spans))
     # one margin buffer and one for delta * min, reused by every chunk
-    out = np.empty((chunk, side.size ** n))
+    out = np.empty(chunk * tL.size)
     low = np.empty_like(out)
-    blocks = out.reshape((chunk,) + (side.size,) * n)
 
-    def margin(start):
-        k = cone[start : start + chunk]
-        for block, corner in zip(blocks, radius - k):
-            block[...] = windows[tuple(corner)]
-        tD, sub = out[: len(k)], low[: len(k)]
-        np.minimum(tD, tL, out=sub)
+    def margin(c):
+        k, box = cone[starts[c] : starts[c] + chunk], boxes[c]
+        tLb = tL[box]
+        tD = out[: len(k) * tLb.size].reshape((len(k),) + tLb.shape)
+        for block, corner in zip(tD, radius - k):
+            block[...] = windows[tuple(corner)][box]
+        sub = low[: tD.size].reshape(tD.shape)
+        np.minimum(tD, tLb, out=sub)
         sub *= delta
-        tD += tL  # IEEE + commutes: the bits of tL + tD
+        tD += tLb  # IEEE + commutes: the bits of tL + tD
         tD -= sub
-        tD -= tK[start : start + chunk, None]
-        return k, tD
+        tD -= tK[starts[c] : starts[c] + chunk].reshape((-1,) + (1,) * n)
+        return k, box, tD
 
-    best, at_best = math.inf, []  # chunk starts at the running minimum
-    for start in range(0, len(cone), chunk):
-        m = float(np.min(margin(start)[1]))
+    best, at_best, evaluated = math.inf, [], 0  # chunks at the running minimum
+    for c in range(len(starts)):
+        tD = margin(c)[2]
+        evaluated += tD.size
+        m = float(np.min(tD))
         if m < best:
-            best, at_best = m, [start]
+            best, at_best = m, [c]
         elif m == best:
-            at_best.append(start)
+            at_best.append(c)
     ties = []  # (k, l) rows of the cells at the minimum
-    for start in at_best:
-        k, tD = margin(start)
-        i, j = np.nonzero(tD == best)
-        ties.append(np.concatenate([k[i], l[j]], axis=1))
-    return best, _first_image(np.concatenate(ties), n), side.size ** (2 * n)
+    for c in at_best:
+        k, box, tD = margin(c)
+        i, *j = np.nonzero(tD == best)
+        l = np.stack(j, axis=1) + [b.start - radius for b in box]
+        ties.append(np.concatenate([k[i], l], axis=1))
+    ties = np.concatenate(ties)
+    mirror = ties[:, :n] - ties[:, n:]
+    inside = np.all(np.abs(mirror) <= radius, axis=1)
+    ties = np.concatenate([ties, np.concatenate([ties[inside, :n], mirror[inside]], axis=1)])
+    return best, _first_image(ties, n), evaluated
 
 
 def _first_image(ties: np.ndarray, n: int) -> tuple:
@@ -364,17 +454,36 @@ _LOGLOG_SEED, _LOGLOG_RANDOM_MAX = 20260814, 1e6
 _ELEMENTARY_EPS, _ELEMENTARY_XI_MAX = 0.5, 1e4
 
 
-def _loglog_cloud(s: float, n_random: int):
-    """Min margin of the loglog inequality over the seeded uniform cloud in
-    [0, 1e6]^2, and its (x, y); (inf, None) for an empty cloud."""
+class LoglogCloud:
+    """The loglog sweep's seeded far-field cloud, drawn and evaluated on first use.
+
+    n_random points (x, y) uniform in [0, 1e6]^2 with seed 20260814, and
+    w at y, |x - y| and x.  Loglog sweeps over one n_random can share one
+    cloud (verify_weight_inequality's cloud argument); it holds its
+    arrays as long as its caller holds it, and no longer.
+    """
+
+    def __init__(self, n_random: int):
+        self.n_random = n_random
+        self._values = None
+
+    def values(self) -> tuple:
+        """(xs, ys, w(ys), w(|xs - ys|), w(xs))."""
+        if self._values is None:
+            rng = np.random.default_rng(_LOGLOG_SEED)
+            xs = rng.uniform(0.0, _LOGLOG_RANDOM_MAX, size=self.n_random)
+            ys = rng.uniform(0.0, _LOGLOG_RANDOM_MAX, size=self.n_random)
+            self._values = xs, ys, w_star(ys), w_star(np.abs(xs - ys)), w_star(xs)
+        return self._values
+
+
+def _loglog_cloud(s: float, n_random: int, cloud: LoglogCloud | None = None):
+    """Min margin of the loglog inequality over the seeded cloud of n_random
+    points (cloud, or a new one), and its (x, y); (inf, None) for an empty cloud."""
     if not n_random:
         return math.inf, None
-    rng = np.random.default_rng(_LOGLOG_SEED)
-    xs = rng.uniform(0.0, _LOGLOG_RANDOM_MAX, size=n_random)
-    ys = rng.uniform(0.0, _LOGLOG_RANDOM_MAX, size=n_random)
-    wy = w_star(ys)
-    wxy = w_star(np.abs(xs - ys))
-    margin = wy + wxy - s * np.minimum(wy, wxy) - w_star(xs)
+    xs, ys, wy, wxy, wx = (LoglogCloud(n_random) if cloud is None else cloud).values()
+    margin = wy + wxy - s * np.minimum(wy, wxy) - wx
     i = int(np.argmin(margin))
     return float(margin[i]), (float(xs[i]), float(ys[i]))
 
@@ -457,7 +566,8 @@ def _loglog_grid(W: np.ndarray, s: float, bar: float):
     return best, at, evaluated
 
 
-def _sweep_loglog(s: float, grid_max: float, step: float, n_random: int):
+def _sweep_loglog(s: float, grid_max: float, step: float, n_random: int,
+                  cloud: LoglogCloud | None = None):
     """Min margin of w(x) <= w(y) + w(x-y) - s*min(w(y), w(x-y)).
 
     The rectangular grid is uniform with the given step, so w(|x-y|)
@@ -471,7 +581,7 @@ def _sweep_loglog(s: float, grid_max: float, step: float, n_random: int):
     _check_elements("loglog", "grid_max", grid_max, _CHUNK * (grid_max / step + 1))
     m = int(round(grid_max / step))
     ts = np.arange(m + 1) * step
-    cloud_margin, cloud_point = _loglog_cloud(s, n_random)
+    cloud_margin, cloud_point = _loglog_cloud(s, n_random, cloud)
     margin, cell, _ = _loglog_grid(w_star(ts), s, cloud_margin)
     count = (m + 1) ** 2 + n_random
     if cloud_margin < margin:
@@ -552,8 +662,8 @@ def _regime_param(params: dict, regime: str, key: str):
     return params[key]
 
 
-def verify_weight_inequality(kind: str, params: dict,
-                             domain: dict) -> VerificationReport:
+def verify_weight_inequality(kind: str, params: dict, domain: dict,
+                             cloud: LoglogCloud | None = None) -> VerificationReport:
     """Sweep one of the three weight inequalities and report margins.
 
     Each kind takes exactly these keys; a missing or unknown one is a
@@ -570,7 +680,8 @@ def verify_weight_inequality(kind: str, params: dict,
         {"grid_max": finite >= 0, "step": finite > 0, "n_random": int
         >= 0}.  The grid [0, grid_max]^2 is swept with the given step,
         plus n_random points of a uniform cloud in [0, 1e6]^2 with seed
-        20260814.
+        20260814.  cloud: a LoglogCloud of n_random points, so that
+        sweeps of one domain draw and evaluate the cloud once.
     kind = "elementary": composition bound for |xi|^(1+eps), eps = 1/2,
         on xi in [0, 1e4].  params {}, domain {"n_points": int > 0}.
 
@@ -580,6 +691,9 @@ def verify_weight_inequality(kind: str, params: dict,
     if kind not in _SWEEP_KEYS:
         raise ValueError(f"unknown inequality kind {kind!r}")
     _check_sweep_keys(kind, params, domain)
+    if cloud is not None and (kind != "loglog" or cloud.n_random != domain["n_random"]):
+        raise ValueError(f"a cloud of {reprlib.repr(cloud.n_random)} points serves only the "
+                         f"loglog sweep with n_random {reprlib.repr(cloud.n_random)}")
 
     if kind == "gevrey":
         s = params["s"]
@@ -599,7 +713,7 @@ def verify_weight_inequality(kind: str, params: dict,
         s = float(s)
         grid_max, step = float(domain["grid_max"]), float(domain["step"])
         n_random = domain["n_random"]
-        margin, worst, count = _sweep_loglog(s, grid_max, step, n_random)
+        margin, worst, count = _sweep_loglog(s, grid_max, step, n_random, cloud)
         desc = (f"grid [0,{grid_max:g}]^2 step {step:g} + {n_random} random points "
                 f"in [0,{_LOGLOG_RANDOM_MAX:g}]^2 (seed {_LOGLOG_SEED})")
         params = {"s": s}

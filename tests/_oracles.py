@@ -274,13 +274,24 @@ def algebra_ratios_per_norm(pairs, params: NormParams, scale: int) -> list:
 
 
 def sweep_gevrey_full_box(s: float, radius: int, n: int):
-    """(min_margin, worst_point, points_checked) over the full n-d box.
+    """(min_margin, worst_point, points_checked) of the exponent sweep over the full n-d box.
 
-    Every k cell of |k|_inf <= radius in C order, in chunks of 128,
-    each vectorized over all l; the first C-order minimizer wins.
+    The table of the sweep goes through gevrey_box_gather.
     """
     delta = 2.0 - 2.0 ** (1.0 / s)
     table = np.arange(4 * n * radius * radius + 1, dtype=float) ** (0.5 * (1.0 / s))
+    return gevrey_box_gather(table, delta, radius, n)
+
+
+def gevrey_box_gather(table: np.ndarray, delta: float, radius: int, n: int):
+    """(min_margin, (k, l), cells) of the exponent margin over every cell of the box, by index gather.
+
+    Every k cell of |k|_inf <= radius in C order, in chunks of 128,
+    each vectorized over all l: table[|l|^2] + table[|k-l|^2]
+    - delta * min(both) - table[|k|^2].  The first C-order minimizer
+    wins.  table may be any table over the squared radii up to
+    n*(2*radius)^2, monotone or not.
+    """
     cells = np.array(list(itertools.product(range(-radius, radius + 1), repeat=n)))
     L2 = np.sum(cells * cells, axis=1)
     tL = table[L2]
@@ -290,8 +301,8 @@ def sweep_gevrey_full_box(s: float, radius: int, n: int):
     for start in range(0, len(cells), chunk):
         k = cells[start : start + chunk]
         K2 = np.sum(k * k, axis=1)[:, None]
-        D2 = sum((k[:, a, None] - cells[None, :, a]) ** 2 for a in range(n))
-        margin = tL[None, :] + table[D2] - delta * table[np.minimum(D2, L2[None, :])] - table[K2]
+        tD = table[sum((k[:, a, None] - cells[None, :, a]) ** 2 for a in range(n))]
+        margin = tL[None, :] + tD - delta * np.minimum(tD, tL[None, :]) - table[K2]
         count += margin.size
         i, j = np.unravel_index(np.argmin(margin), margin.shape)
         m = float(margin[i, j])

@@ -619,6 +619,39 @@ def test_corpus_generate_rejects_a_negative_band(capsys, tmp_path):
     assert not (tmp_path / "c" / "fixture_000.csv").exists()
 
 
+@pytest.mark.parametrize("corpus", [
+    {"N": 65536, "n": 2},        # 2^32 samples per file
+    {"N": 2 ** 27},              # n = 1 by default
+    {"N": 2 ** 70, "n": 1},      # beyond the float range of N^n
+    {"N": 16384, "n": 2},        # one factor of 4 over the cap
+], ids=["2d-65536", "1d-2^27", "1d-2^70", "2d-16384"])
+def test_corpus_generate_rejects_n_to_the_n_over_the_cap(capsys, tmp_path, monkeypatch, corpus):
+    # refused before synthesize could allocate a file's samples
+    monkeypatch.setattr(cli, "synthesize", lambda *a, **k: pytest.fail("synthesize was reached"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus": corpus}))
+    code, doc, err = run_cli(capsys, "--config", str(cfg), "corpus", "generate",
+                             "--count", "1", "--out", str(tmp_path / "c"))
+    assert code == 2
+    assert doc is None
+    assert len(err.strip().splitlines()) == 1
+    assert "'N'" in err and str(cli._MAX_ELEMENTS) in err
+    assert not (tmp_path / "c").exists()
+
+
+def test_corpus_generate_takes_n_to_the_n_at_the_cap(capsys, tmp_path, monkeypatch):
+    # 8192^2 = 2^26 samples is allowed: synthesize is reached (and stopped there)
+    def stop(*args, **kwargs):
+        raise ValueError("stopped at synthesize")
+    monkeypatch.setattr(cli, "synthesize", stop)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus": {"N": 8192, "n": 2}}))
+    code, _, err = run_cli(capsys, "--config", str(cfg), "corpus", "generate",
+                           "--count", "1", "--out", str(tmp_path / "c"))
+    assert code == 2
+    assert err == "error: stopped at synthesize\n"
+
+
 # ----------------------------------------------------------------------
 # report merge
 # ----------------------------------------------------------------------

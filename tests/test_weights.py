@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modspaces
-from modspaces import weights
+from modspaces import cli, weights
 from modspaces.weights import (
     LOG_TOL,
     SHIFT,
@@ -235,6 +235,90 @@ def test_sweep_gevrey_2d_matches_full_box(s, n, radius):
     assert rep.points_checked == count == (2 * radius + 1) ** (2 * n)
 
 
+# s in (1, 12], s -> 1+ included; 2-d radii 0-25 and 1-d radii 0-60
+_GEVREY_S = st.one_of(st.just(math.nextafter(1.0, 2.0)), st.just(1.0 + 1e-9), st.just(12.0),
+                      st.floats(1.0, 12.0, exclude_min=True))
+_GEVREY_BOXES = st.one_of(st.tuples(st.just(2), st.integers(0, 25)),
+                          st.tuples(st.just(1), st.integers(0, 60)))
+# the full profile's exponents and its 2-d radius
+_CAMPAIGN_S = cli._CONFIG["weights"]["gevrey_s"][1]
+_CAMPAIGN_RADIUS_2D = cli._CONFIG["weights"]["gevrey_radius_2d"][1]
+
+
+def _gevrey_table(s, radius, n):
+    return np.arange(4 * n * radius * radius + 1, dtype=float) ** (0.5 * (1.0 / s))
+
+
+def _cone_cells(radius, n):
+    # k in radius >= k_1 >= ... >= k_n >= 0, l in the whole box
+    return (radius + 1 if n == 1 else (radius + 1) * (radius + 2) // 2) * (2 * radius + 1) ** n
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=_GEVREY_S, box=_GEVREY_BOXES)
+def test_sweep_gevrey_pruned_equals_full_box(s, box):
+    # the branch-and-bound sweep against every cell of the box, exactly
+    n, radius = box
+    rep = verify_weight_inequality("gevrey", {"s": s}, {"n": n, "radius": radius})
+    assert (rep.min_margin, rep.worst_point, rep.points_checked) == \
+        orc.sweep_gevrey_full_box(s, radius, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rises=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 50.0)),
+                      min_size=1, max_size=256),
+       delta=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+       box=st.one_of(st.tuples(st.just(2), st.integers(0, 8)),
+                     st.tuples(st.just(1), st.integers(0, 8))))
+def test_gevrey_box_holds_its_contract_on_nondecreasing_tables(rises, delta, box):
+    # any nondecreasing table from 0 prunes; flat stretches make exact ties
+    n, radius = box
+    size = 4 * n * radius * radius + 1
+    table = np.cumsum([0.0] + (rises * size)[: size - 1])
+    margin, cell, evaluated = weights._gevrey_box(table, delta, radius, n)
+    assert (margin, cell) == orc.gevrey_box_gather(table, delta, radius, n)[:2]
+    assert 0 < evaluated <= _cone_cells(radius, n)
+
+
+@pytest.mark.parametrize("n, radius", [(1, 30), (2, 9)], ids=["1d", "2d"])
+@pytest.mark.parametrize("change", ["dip", "shuffled", "offset", "delta-above-1"])
+def test_gevrey_box_evaluates_every_cell_of_other_tables(change, n, radius):
+    # the bounds need table[0] = 0, a nondecreasing table and delta in
+    # [0, 1]; without them nothing is pruned, not even by the mirror
+    table, delta = _gevrey_table(2.0, radius, n), 2.0 - math.sqrt(2.0)
+    if change == "dip":
+        table[table.size // 2] = 0.5
+    elif change == "shuffled":
+        table = np.random.default_rng(5).permutation(table)
+    elif change == "offset":
+        table += 1.0
+    else:
+        delta = 1.5
+    margin, cell, evaluated = weights._gevrey_box(table, delta, radius, n)
+    assert evaluated == _cone_cells(radius, n)
+    assert (margin, cell) == orc.gevrey_box_gather(table, delta, radius, n)[:2]
+
+
+@pytest.mark.parametrize("n, radius", [(1, 200), (2, _CAMPAIGN_RADIUS_2D)], ids=["1d", "2d"])
+@pytest.mark.parametrize("s", _CAMPAIGN_S)
+def test_gevrey_box_fails_when_delta_is_raised_by_one_percent(s, n, radius):
+    # negative control: a subtraction factor 1 % too large breaks the
+    # bound at k = 2l, and the pruned pass still finds it, exactly
+    table, delta = _gevrey_table(s, radius, n), 1.01 * (2.0 - 2.0 ** (1.0 / s))
+    margin, cell, _ = weights._gevrey_box(table, delta, radius, n)
+    assert margin < -LOG_TOL
+    assert (margin, cell) == orc.gevrey_box_gather(table, delta, radius, n)[:2]
+
+
+def test_gevrey_box_evaluates_at_most_a_fifth_of_the_full_profile_cone():
+    cells = _cone_cells(_CAMPAIGN_RADIUS_2D, 2)
+    assert cells == 5_649_021
+    for s in _CAMPAIGN_S:
+        table = _gevrey_table(s, _CAMPAIGN_RADIUS_2D, 2)
+        _, _, evaluated = weights._gevrey_box(table, 2.0 - 2.0 ** (1.0 / s), _CAMPAIGN_RADIUS_2D, 2)
+        assert evaluated <= 0.2 * cells, (s, evaluated)
+
+
 @pytest.mark.parametrize("grid_max, step, n_random", [
     (2000.0, 0.5, 100_000),  # the full campaign's grid
     (127.5, 0.5, 1000),      # m + 1 = 256 rows, whole row blocks only
@@ -329,6 +413,42 @@ def test_loglog_grid_skips_most_of_the_full_profile_grid():
         bar, _ = weights._loglog_cloud(s, 100_000)
         _, _, evaluated = weights._loglog_grid(W, s, bar)
         assert evaluated <= share * 4001 ** 2, (s, evaluated)
+
+
+_CLOUD_DOMAIN = {"grid_max": 50.0, "step": 0.5, "n_random": 1000}
+
+
+@pytest.mark.parametrize("s", ["admissible", 0.99, 0.3])
+def test_a_shared_cloud_gives_the_report_of_a_fresh_one(s):
+    # the first sweep draws and evaluates the cloud, the next ones reuse it
+    params = {} if s == "admissible" else {"s": s}
+    fresh = verify_weight_inequality("loglog", params, _CLOUD_DOMAIN).to_dict()
+    cloud = weights.LoglogCloud(1000)
+    for _ in range(2):
+        assert verify_weight_inequality("loglog", params, _CLOUD_DOMAIN, cloud=cloud).to_dict() == fresh
+
+
+def test_verify_weights_evaluates_the_cloud_once(monkeypatch):
+    # the admissible sweep and the s = 0.99 probe: three w evaluations of
+    # the cloud, not six
+    sizes = []
+
+    def counted(t, order=0):
+        sizes.append(np.size(t))
+        return w_star(t, order)
+
+    monkeypatch.setattr(weights, "w_star", counted)
+    cli.verify_weights("quick", {"weights": {"sharpness_probe": True, "loglog_random": 777}})
+    assert sizes.count(777) == 3
+
+
+@pytest.mark.parametrize("kind, params, domain", [
+    ("loglog", {}, {**_CLOUD_DOMAIN, "n_random": 999}),
+    ("gevrey", {"s": 2.0}, {"n": 1, "radius": 4}),
+], ids=["other-n_random", "gevrey"])
+def test_sweep_rejects_a_cloud_it_cannot_use(kind, params, domain):
+    with pytest.raises(ValueError, match="cloud of 1000 points"):
+        verify_weight_inequality(kind, params, domain, cloud=weights.LoglogCloud(1000))
 
 
 def test_import_leaves_scipy_optimize_unloaded():
