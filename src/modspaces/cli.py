@@ -426,8 +426,7 @@ def verify_superposition(profile: str, config: dict) -> dict:
 
     # one-sided growth envelopes with a single constant pair per regime,
     # fitted to the (norm, lhs) points of every fixture's scan
-    rows = [row for f in fixtures for row in bound_scan(
-        f, params, "gevrey", st["lambdas"], regime_params={"s": 2.0})["rows"]]
+    rows = [row for f in fixtures for row in bound_scan(f, params, st["lambdas"])]
     vs = [row["norm_u"] for row in rows]
     lhss = [row["lhs"] for row in rows]
     for regime, rp in (("gevrey", {"s": 2.0}),

@@ -156,8 +156,11 @@ def _as_index(k, n: int) -> tuple:
     return k
 
 
-def _sigma_axis(x, k: int, order: int = 0):
-    """One axis factor rho1(x-k)/S(x) and its first two derivatives."""
+def _sigma_axis(x, k, order: int = 0):
+    """One axis factor rho1(x-k)/S(x) and its first two derivatives.
+
+    A column of cells k gives one row per cell, sharing one S(x).
+    """
     x = np.asarray(x, dtype=float)
     orders = range(order + 1)
     return _quotient_rule([rho1(x - k, j) for j in orders], [_lattice_sum(x, j) for j in orders])
@@ -222,10 +225,11 @@ def verify_partition(w: WindowFunction, grid=None) -> VerificationReport:
                       matches the k=0 value to 1e-8 for |alpha| <= 2
 
     The grid is the tensor grid of one axis, so the grid checks cost
-    9 evaluations of the axis factor on the axis (not 9^n evaluations
-    of sigma_k on all m^n points): each sigma_k is the outer product of
-    its axis factors and its inf-distance mask the outer maximum of the
-    axis distances, the same floats the per-point route gives.
+    one evaluation of the axis factor, a row per cell, on the axis (not
+    9^n evaluations of sigma_k on all m^n points): each sigma_k is the
+    outer product of its axis factors and its inf-distance mask the
+    outer maximum of the axis distances, the same floats the per-point
+    route gives.
 
     The report's min_margin is the worst (threshold - deviation); the
     per-check numbers live in report.extra.
@@ -240,15 +244,15 @@ def verify_partition(w: WindowFunction, grid=None) -> VerificationReport:
 
     pts = _points(axis, n)
 
-    # per-axis factors and distances, once per c; since 1 * x = x, their
-    # outer products are the floats sigma_eval forms on the grid
-    cells_1d = range(-4, 5)
-    cells = list(itertools.product(cells_1d, repeat=n))
-    factor = {c: _sigma_axis(axis, c) for c in cells_1d}
-    dist = {c: np.abs(axis - c) for c in cells_1d}
+    # per-axis factors and distances, row c + 4 for cell c; since
+    # 1 * x = x, their outer products are the floats sigma_eval forms
+    cells_1d = np.arange(-4, 5)
+    cells = list(itertools.product(cells_1d.tolist(), repeat=n))
+    factor = _sigma_axis(axis, cells_1d[:, None])
+    dist = np.abs(axis - cells_1d[:, None])
 
     def tensor(op, per_axis, k):
-        return _outer(op, [per_axis[c] for c in k]).ravel()
+        return _outer(op, [per_axis[c + 4] for c in k]).ravel()
 
     checks: dict[str, dict] = {}
 
@@ -304,8 +308,8 @@ def verify_partition(w: WindowFunction, grid=None) -> VerificationReport:
 
     # the integer points form a tensor grid too
     ints_1d = np.arange(-3, 4, dtype=float)
-    at_ints = {c: _sigma_axis(ints_1d, c) for c in cells_1d}
-    kronecker = {c: (ints_1d == c).astype(float) for c in cells_1d}
+    at_ints = _sigma_axis(ints_1d, cells_1d[:, None])
+    kronecker = (ints_1d == cells_1d[:, None]).astype(float)
     delta_dev = 0.0
     for k in cells:
         v = tensor(np.multiply, at_ints, k)

@@ -185,9 +185,12 @@ def exp_minus_one_norm(u: SampledFunction, params: NormParams, *,
     return rec if record else rec["value"]
 
 
-def _log_bound_shape(regime: str, v: np.ndarray, b: float,
+def _log_bound_shape(regime: str, v: np.ndarray, b,
                      regime_params: dict) -> np.ndarray:
-    """log of the growth envelope shape (with c = 1) at norm values v."""
+    """log of the growth envelope shape (with c = 1) at norm values v.
+
+    b broadcasts against v, so a column of b values gives one row each.
+    """
     v = np.asarray(v, dtype=float)
     if regime == "gevrey":
         s = float(_regime_param(regime_params, regime, "s"))
@@ -209,89 +212,60 @@ def fit_growth_envelope(norms, lhs_values, regime: str,
     the (b, c*) minimizing the worst-case slack wins.  The slack is
     often flat in b to round-off, so every b within 1e-12 (relative)
     of the minimum counts as tied and the smallest tied b, the mildest
-    envelope, is taken.  Points from several functions may be pooled,
-    which is how a single constant pair is certified across a whole
-    corpus.  c carries one part in 1e13 of headroom so the inequality
-    holds in linear arithmetic as well, not just for the fitted
-    logarithms.
+    envelope, is taken.  The whole grid is one (80, points) array, one
+    row per b, so the first tied row is the smallest tied b.  Points
+    from several functions may be pooled, which is how a single
+    constant pair is certified across a whole corpus.  c carries one
+    part in 1e13 of headroom so the inequality holds in linear
+    arithmetic as well, not just for the fitted logarithms.
     """
     vs = np.asarray(norms, dtype=float)
     lhss = np.asarray(lhs_values, dtype=float)
     if vs.shape != lhss.shape or vs.size == 0:
         raise ValueError("norms and lhs_values must be equal-length, nonempty")
+    for name, x in (("norms", vs), ("lhs_values", lhss)):
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:
+            raise ValueError(f"envelope fit needs finite {name}; "
+                             f"entry {bad[0]} is {x[bad[0]]}")
     if np.any(vs <= 0.0):
         raise ValueError("envelope fit needs positive norm values")
     log_lhs = np.log(np.maximum(lhss, 1e-300))
-    fits = []
-    for b in _B_GRID:
-        log_shape = _log_bound_shape(regime, vs, b, regime_params)
-        log_c = float(np.max(log_lhs - log_shape)) + 1e-13
-        log_bound = log_c + log_shape
-        bound = np.where(log_bound < 700.0, np.exp(log_bound), math.inf)
-        residuals = bound - lhss
-        fits.append({
-            "b": float(b),
-            "c": float(math.exp(log_c)),
-            "bounds": bound,
-            "residuals": residuals,
-            "max_residual": float(np.max(residuals)),
-        })
-    least = min(fit["max_residual"] for fit in fits)
-    best = min((fit for fit in fits
-                if fit["max_residual"] <= least + 1e-12 * abs(least)),
-               key=lambda fit: fit["b"])
-    best["min_residual"] = float(np.min(best["residuals"]))
-    return best
-
-
-def bound_scan(u: SampledFunction, params: NormParams, regime: str,
-               lambdas, *, regime_params: dict) -> dict:
-    """Scan lambda -> ||e^{i lambda u} - 1|| against a fitted envelope.
-
-    For each lambda the left side L = ||e^{i lambda u} - 1|| and the
-    scaled norm v = ||lambda u|| are computed; then a single pair
-    (b, c) is fitted so that c * shape(v; b) >= L at every lambda, by a
-    one-sided Chebyshev fit: for each b on a grid, c*(b) is the
-    smallest admissible c, and the (b, c*) with the smallest worst-case
-    slack wins.  Shapes: regime "gevrey" uses
-    v * exp(b * v^(1/s) * log v) above norm 1 and plain v below;
-    regime "loglog" uses v * exp(theta * wstar(b * v^(1 + 1/N))).
-
-    Returns {regime, regime_params, b, c, max_residual, rows} with one
-    row (lambda, norm_u, lhs, fitted_bound, residual) per lambda; all
-    residuals are nonnegative by construction of the fit.
-    """
-    regime_params = dict(regime_params)
-    lambdas = [float(l) for l in lambdas]
-
-    vs, lhss = [], []
-    for lam in lambdas:
-        scaled = u.copy_with(lam * u.values)
-        vs.append(mod_norm(scaled, params))
-        lhss.append(exp_minus_one_norm(scaled, params))
-    vs, lhss = np.array(vs), np.array(lhss)
-    best = fit_growth_envelope(vs, lhss, regime, regime_params)
-
-    rows = [
-        {
-            "lambda": lam,
-            "norm_u": float(v),
-            "lhs": float(lhs),
-            "fitted_bound": float(bd),
-            "residual": float(res),
-        }
-        for lam, v, lhs, bd, res in zip(
-            lambdas, vs, lhss, best["bounds"], best["residuals"])
-    ]
+    log_shape = _log_bound_shape(regime, vs, _B_GRID[:, None], regime_params)
+    log_c = np.max(log_lhs - log_shape, axis=1) + 1e-13
+    log_bound = log_c[:, None] + log_shape
+    bounds = np.where(log_bound < 700.0, np.exp(log_bound), math.inf)
+    residuals = bounds - lhss
+    max_residual = np.max(residuals, axis=1)
+    least = float(np.min(max_residual))
+    i = int(np.argmax(max_residual <= least + 1e-12 * abs(least)))
     return {
-        "regime": regime,
-        "regime_params": regime_params,
-        "b": best["b"],
-        "c": best["c"],
-        "max_residual": best["max_residual"],
-        "min_residual": best["min_residual"],
-        "rows": rows,
+        "b": float(_B_GRID[i]),
+        "c": math.exp(float(log_c[i])),
+        "bounds": bounds[i],
+        "residuals": residuals[i],
+        "max_residual": float(max_residual[i]),
+        "min_residual": float(np.min(residuals[i])),
     }
+
+
+def bound_scan(u: SampledFunction, params: NormParams, lambdas) -> list:
+    """Scan lambda -> (||lambda u||, ||e^{i lambda u} - 1||).
+
+    Returns one row {lambda, norm_u, lhs} per lambda: the scaled norm
+    v = ||lambda u|| and the left side L = ||e^{i lambda u} - 1|| of
+    the growth bound.  Fitting an envelope c * shape(v; b) >= L to the
+    rows, pooled over any number of scans, is fit_growth_envelope's job.
+    """
+    rows = []
+    for lam in map(float, lambdas):
+        scaled = u.copy_with(lam * u.values)
+        rows.append({
+            "lambda": lam,
+            "norm_u": mod_norm(scaled, params),
+            "lhs": exp_minus_one_norm(scaled, params),
+        })
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from modspaces.specialfn import (
     _log_weight,
     gevrey_bump,
 )
+from modspaces.superpose import _B_GRID, _log_bound_shape
 from modspaces.weights import VerificationReport, WeightAnalysis, w_star
 
 mp.mp.dps = 30
@@ -676,3 +677,40 @@ def refine_per_dimension(f: SampledFunction, factor: int) -> SampledFunction:
             for b in range(2):
                 out[sl[a], sl[b]] = F[src[a], src[b]]
     return from_spectrum(f.n, f.L, N2, out)
+
+
+def fit_growth_envelope_per_b(norms, lhs_values, regime: str,
+                              regime_params: dict) -> dict:
+    """fit_growth_envelope one b at a time, as a list of per-b fits.
+
+    The route the package took before it evaluated the whole b grid as
+    one array: a dict per b, then the least worst-case slack and the
+    smallest b tied with it, in two passes over the list.
+    """
+    vs = np.asarray(norms, dtype=float)
+    lhss = np.asarray(lhs_values, dtype=float)
+    if vs.shape != lhss.shape or vs.size == 0:
+        raise ValueError("norms and lhs_values must be equal-length, nonempty")
+    if np.any(vs <= 0.0):
+        raise ValueError("envelope fit needs positive norm values")
+    log_lhs = np.log(np.maximum(lhss, 1e-300))
+    fits = []
+    for b in _B_GRID:
+        log_shape = _log_bound_shape(regime, vs, b, regime_params)
+        log_c = float(np.max(log_lhs - log_shape)) + 1e-13
+        log_bound = log_c + log_shape
+        bound = np.where(log_bound < 700.0, np.exp(log_bound), math.inf)
+        residuals = bound - lhss
+        fits.append({
+            "b": float(b),
+            "c": float(math.exp(log_c)),
+            "bounds": bound,
+            "residuals": residuals,
+            "max_residual": float(np.max(residuals)),
+        })
+    least = min(fit["max_residual"] for fit in fits)
+    best = min((fit for fit in fits
+                if fit["max_residual"] <= least + 1e-12 * abs(least)),
+               key=lambda fit: fit["b"])
+    best["min_residual"] = float(np.min(best["residuals"]))
+    return best

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modspaces import cli, modspace
+from modspaces import cli, modspace, superpose
 from modspaces.cli import _CONFIG, _config_problem, main
 from modspaces.modspace import SampledFunction, load_function, save_function
 from modspaces.specialfn import density_by_name
@@ -784,6 +784,28 @@ def test_report_merge_of_any_documents_is_one_strict_json_verdict(docs):
             code = main(["report", "merge", tmp])
     assert code in (0, 1)
     assert _strict(out.getvalue())["passed"] is (code == 0)
+
+
+def test_verify_superposition_fits_once_per_regime(monkeypatch):
+    # the scans only scan: 5 fixtures x 4 lambdas, pooled into one fit
+    # per regime; a fit per fixture would make 7 fit calls
+    calls = {"fit_growth_envelope": 0, "exp_minus_one_norm": 0}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(cli, "fit_growth_envelope")
+    counting(superpose, "fit_growth_envelope")
+    counting(superpose, "exp_minus_one_norm")
+    out = cli.verify_superposition("full", {})
+    assert {"growth_envelope_gevrey", "growth_envelope_loglog"} <= {
+        c["kind"] for c in out["checks"]}
+    assert calls == {"fit_growth_envelope": 2, "exp_minus_one_norm": 20}
 
 
 def test_verify_algebra_shares_refine_and_multiply_across_weights(monkeypatch):

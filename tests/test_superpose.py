@@ -236,6 +236,63 @@ def test_fit_growth_envelope_validation():
         fit_growth_envelope([1, 2], [1, 2], "gevrey", {})
 
 
+def test_fit_growth_envelope_rejects_a_nan_norm():
+    # unchecked, the fit returned c = nan with min_residual = inf, which
+    # the campaign's min_residual >= 0 rule passes
+    with pytest.raises(ValueError, match="finite norms; entry 1 is nan"):
+        fit_growth_envelope([1.0, math.nan], [1.0, 1.0], "gevrey", {"s": 2.0})
+
+
+def test_fit_growth_envelope_rejects_an_infinite_norm():
+    # unchecked, this fit passed with max_residual = inf
+    with pytest.raises(ValueError, match="finite norms; entry 1 is inf"):
+        fit_growth_envelope([1.0, math.inf], [1.0, 1.0], "gevrey", {"s": 2.0})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_growth_envelope_rejects_a_non_finite_lhs(bad):
+    # unchecked, this raised "min() arg is an empty sequence"
+    with pytest.raises(ValueError, match=f"finite lhs_values; entry 0 is {bad}"):
+        fit_growth_envelope([1.0, 2.0], [bad, 1.0], "gevrey", {"s": 2.0})
+
+
+_FIT_FIELDS = ("b", "c", "bounds", "residuals", "max_residual", "min_residual")
+
+
+@st.composite
+def _envelope_points(draw):
+    """Fit inputs: random points, scaled campaign ties, or an overflowing one."""
+    kind = draw(st.sampled_from(["random", "campaign", "overflow"]))
+    if kind == "campaign":
+        scale = draw(st.floats(0.01, 100.0))
+        lhs_scale = draw(st.floats(0.5, 2.0))
+        return (np.array(_CAMPAIGN_NORMS) * scale,
+                np.array(_CAMPAIGN_LHS) * scale * lhs_scale)
+    size = draw(st.integers(1, 30))
+    exps = st.floats(-3.0, 3.0)
+    vs = 10.0 ** np.array(draw(st.lists(exps, min_size=size, max_size=size)))
+    lhs = 10.0 ** np.array(draw(st.lists(exps, min_size=size, max_size=size)))
+    if kind == "overflow":
+        # a norm this large sends its bound to inf at every b
+        vs[0] = 10.0 ** draw(st.floats(150.0, 300.0))
+    return vs, lhs
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(points=_envelope_points(),
+       regime=st.sampled_from([("gevrey", {"s": 2.0}),
+                               ("loglog", {"theta": 1.5, "N": 3.0})]))
+def test_fit_growth_envelope_matches_per_b_route(points, regime):
+    vs, lhs = points
+    fast = fit_growth_envelope(vs, lhs, *regime)
+    slow = orc.fit_growth_envelope_per_b(vs, lhs, *regime)
+    assert set(fast) == set(_FIT_FIELDS)
+    for key in _FIT_FIELDS:
+        assert np.array_equal(fast[key], slow[key]), key
+
+
 @pytest.mark.parametrize(
     "regime,rparams",
     [("gevrey", {"s": 2.0}), ("loglog", {"theta": 1.5, "N": 1.0})],
@@ -245,13 +302,16 @@ def test_bound_scan_residuals_one_sided(regime, rparams):
     u = u.copy_with(u.values / np.max(np.abs(u.values)))
     params = NormParams(2.0, 1.0, WeightSpec.loglog()
                         if regime == "loglog" else WeightSpec.gevrey(2.0))
-    scan = bound_scan(u, params, regime, [0.25, 0.5, 1.0, 2.0, 4.0],
-                      regime_params=rparams)
-    assert scan["min_residual"] >= 0.0
-    assert scan["c"] > 0.0 and scan["b"] > 0.0
-    norm_u1 = scan["rows"][2]["norm_u"]
-    for row, lam in zip(scan["rows"], [0.25, 0.5, 1.0, 2.0, 4.0]):
-        assert row["residual"] >= 0.0
+    lambdas = [0.25, 0.5, 1.0, 2.0, 4.0]
+    rows = bound_scan(u, params, lambdas)
+    fit = fit_growth_envelope([row["norm_u"] for row in rows],
+                              [row["lhs"] for row in rows], regime, rparams)
+    assert fit["min_residual"] >= 0.0
+    assert fit["c"] > 0.0 and fit["b"] > 0.0
+    norm_u1 = rows[2]["norm_u"]
+    for row, residual, lam in zip(rows, fit["residuals"], lambdas):
+        assert row["lambda"] == lam
+        assert residual >= 0.0
         assert row["lhs"] > 0.0
         # the scaled norm is exactly homogeneous in lambda
         assert row["norm_u"] == pytest.approx(lam * norm_u1, rel=1e-10)
