@@ -32,10 +32,12 @@ Continuum mode at p = 2 uses discrete Parseval, ||box_k f||_2^2 =
 synthesize each block from the few modes of its band, one small matrix
 product per chunk of cells, which the tests also run at p = 2 as the
 dual route.  Either way, cells whose sigma_k * F is exactly zero are
-dropped, as in lattice mode.  The STFT norm at p = 2 uses the
-correlation identity: the sum over shifts of |V(x, xi_m)|^2 is a direct
-circular sum of |F|^2 against the window's |spectrum|^2; other p run
-one transform per shift, the dual route.
+dropped, as in lattice mode, and the sigma band is evaluated once per
+norm (_continuum_cells), shared by the cell list and both routes.  The
+STFT norm at p = 2 uses the correlation identity: the sum over shifts
+of |V(x, xi_m)|^2 is a direct circular sum of |F|^2 against the
+window's |spectrum|^2; other p run one transform per shift, the dual
+route.
 
 Grids are tensor products: 1-d and 2-d arrays are built by one path
 (partition._outer, partition._points) with no branch on n.  Only cost
@@ -298,6 +300,12 @@ def _check_mode(f: SampledFunction, mode: str):
         raise ValueError("lattice mode requires L = pi (integer frequency grid)")
 
 
+def _check_exponents(p, q) -> None:
+    """Reject p or q outside [1, inf] (NaN included), for both norms."""
+    if not (1 <= p <= math.inf and 1 <= q <= math.inf):
+        raise ValueError(f"p and q must lie in [1, inf], got p = {p}, q = {q}")
+
+
 @dataclass
 class NormParams:
     """Which modulation norm to compute.
@@ -314,8 +322,7 @@ class NormParams:
     k_max: int | None = None
 
     def __post_init__(self):
-        if not (1 <= self.p <= math.inf and 1 <= self.q <= math.inf):
-            raise ValueError(f"p and q must lie in [1, inf], got p = {self.p}, q = {self.q}")
+        _check_exponents(self.p, self.q)
 
     def resolved_k_max(self, f: SampledFunction) -> int:
         km = self.k_max if self.k_max is not None else default_k_max(f)
@@ -368,29 +375,29 @@ def _lattice_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarray,
     return cells[keep], factor * np.abs(coeffs[keep])
 
 
-def _cell_sums(f: SampledFunction, k_max: int, a: np.ndarray, power: int) -> np.ndarray:
-    """sum_m sigma_k(xi_m)^power a[m] for every cell |k|_inf <= k_max, shape (K,) or (K, K).
+def _cell_sums(band: tuple[np.ndarray, ...], a: np.ndarray, power: int) -> np.ndarray:
+    """sum_m sigma_k(xi_m)^power a[m] for every cell of the band, shape (K,) or (K, K).
 
     sigma_k is a product of axis factors, so this is R a (1-d, summed
     over the band entries of R) or R a R^T (2-d), with R[k, m] the
     axis factor to the given power; power 0 counts the support only.
     """
-    ks = np.arange(-k_max, k_max + 1)
-    lo, row, t, val = _axis_sigma_band(f, ks)
-    if f.n == 1:
-        return np.bincount(row, weights=val**power * a[lo[row] + t], minlength=ks.size)
-    rows = _band_rows((lo, row, t, val**power), f.N)
+    lo, row, t, val = band
+    if a.ndim == 1:
+        return np.bincount(row, weights=val**power * a[lo[row] + t], minlength=lo.size)
+    rows = _band_rows((lo, row, t, val**power), a.shape[0])
     return rows @ a @ rows.T
 
 
-def _continuum_cells(f: SampledFunction, k_max: int) -> np.ndarray:
-    """Cells |k|_inf <= k_max whose sigma_k * F is not identically zero, in sorted order.
+def _continuum_cells(f: SampledFunction, k_max: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The sigma band of |k|_inf <= k_max, once per norm, and the cells whose sigma_k * F is nonzero.
 
-    An exactly-zero block is dropped, as in lattice mode, so it never
-    meets its (possibly infinite) weight.
+    Cells come in sorted order; an exactly-zero block is dropped, as in
+    lattice mode, so it never meets its (possibly infinite) weight.
     """
-    hits = _cell_sums(f, k_max, (f.spectrum != 0).astype(float), 0)
-    return np.argwhere(hits > 0) - k_max
+    band = _axis_sigma_band(f, np.arange(-k_max, k_max + 1))
+    hits = _cell_sums(band, (f.spectrum != 0).astype(float), 0)
+    return band, np.argwhere(hits > 0) - k_max
 
 
 def _continuum_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarray, np.ndarray]:
@@ -403,8 +410,8 @@ def _continuum_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarra
     """
     if p != 2:
         return _band_block_norms(f, k_max, p)
-    cells = _continuum_cells(f, k_max)
-    sq = _cell_sums(f, k_max, np.abs(f.spectrum) ** 2, 2)[tuple((cells + k_max).T)]
+    band, cells = _continuum_cells(f, k_max)
+    sq = _cell_sums(band, np.abs(f.spectrum) ** 2, 2)[tuple((cells + k_max).T)]
     return cells, np.sqrt((math.pi / f.L) ** f.n * sq)
 
 
@@ -420,12 +427,11 @@ def _band_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarray, np
     """
     phase, scale = _normalization(f.n, f.L, f.N)
     H = f.spectrum * phase / scale
-    lo, row, t, val = _axis_sigma_band(f, np.arange(-k_max, k_max + 1))
+    (lo, row, t, val), cells = _continuum_cells(f, k_max)
     A = np.zeros((lo.size, t.max(initial=0) + 1))
     A[row, t] = val
     tb = np.arange(A.shape[1])
     E = np.exp((2j * math.pi / f.N) * (np.outer(tb, np.arange(f.N)) % f.N)) / f.N
-    cells = _continuum_cells(f, k_max)
 
     out = np.zeros(len(cells))
     chunk = 64 if f.n == 1 else 16
@@ -503,8 +509,10 @@ def stft_norm(f: SampledFunction, p, q, weight: WeightSpec,
     the shift, outer weighted l^q with cell pi/L per frequency axis.
     p = 2 uses the correlation identity (_stft_parseval_inner); other p
     run the shift loop (_stft_shift_inner), the dual route at p = 2.
-    Cost guard: N > 4096 (n=1) or N > 128 (n=2) rejected.
+    Cost guard: N > 4096 (n=1) or N > 128 (n=2) rejected; so are p and
+    q outside [1, inf].
     """
+    _check_exponents(p, q)
     if f.n == 1 and f.N > 4096:
         raise ValueError("stft_norm cost guard: N > 4096 in 1D")
     if f.n == 2 and f.N > 128:

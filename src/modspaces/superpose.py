@@ -217,7 +217,9 @@ def fit_growth_envelope(norms, lhs_values, regime: str,
     from several functions may be pooled, which is how a single
     constant pair is certified across a whole corpus.  c carries one
     part in 1e13 of headroom so the inequality holds in linear
-    arithmetic as well, not just for the fitted logarithms.
+    arithmetic as well, not just for the fitted logarithms.  A ValueError
+    is raised when exp(log_c) over- or underflows, since such a c could
+    not reproduce the bounds fitted in the log domain.
     """
     vs = np.asarray(norms, dtype=float)
     lhss = np.asarray(lhs_values, dtype=float)
@@ -239,9 +241,17 @@ def fit_growth_envelope(norms, lhs_values, regime: str,
     max_residual = np.max(residuals, axis=1)
     least = float(np.min(max_residual))
     i = int(np.argmax(max_residual <= least + 1e-12 * abs(least)))
+    log_ci = float(log_c[i])
+    try:
+        c = math.exp(log_ci)
+    except OverflowError:
+        c = math.inf
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"envelope constant exp(log_c) is not a positive finite float: "
+                         f"log_c = {log_ci!r} at b = {float(_B_GRID[i])!r}")
     return {
         "b": float(_B_GRID[i]),
-        "c": math.exp(float(log_c[i])),
+        "c": c,
         "bounds": bounds[i],
         "residuals": residuals[i],
         "max_residual": float(max_residual[i]),

@@ -20,10 +20,7 @@ import numpy as np
 from modspaces.modspace import (
     NormParams,
     SampledFunction,
-    _axis_sigma_band,
-    _band_rows,
     _check_mode,
-    _continuum_cells,
     _lp,
     _normalization,
     from_spectrum,
@@ -31,7 +28,7 @@ from modspaces.modspace import (
     multiply,
     refine,
 )
-from modspaces.partition import WindowFunction, sigma_eval, sigma_partial
+from modspaces.partition import WindowFunction, _sigma_axis, sigma_eval, sigma_partial
 from modspaces.specialfn import (
     SQRT_2PI,
     _ML1_NODES,
@@ -188,8 +185,11 @@ def bump_transform(mu, xi, dps: int = 30) -> mp.mpc:
 # of the batched continuum block norms
 
 def axis_sigma_rows(f: SampledFunction, ks: np.ndarray) -> np.ndarray:
-    """Dense K x N matrix of the axis factors sigma_k(xi_m) on f's frequency axis."""
-    return _band_rows(_axis_sigma_band(f, ks), f.N)
+    """Dense K x N matrix of the axis factors sigma_k(xi_m) on f's frequency axis.
+
+    Every cell is evaluated on the whole axis, not on its band.
+    """
+    return _sigma_axis(f.xi_axis(), np.asarray(ks)[:, None])
 
 
 def box_k(f: SampledFunction, k, mode: str = "lattice") -> SampledFunction:
@@ -223,12 +223,18 @@ def ifft_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarray, np.
     the modes of its band: an N-point (1-d) or N x N (2-d) inverse FFT
     of sigma_k * F per cell, in chunks of cells.  The package scattered
     each 1-d chunk's own axis rows; at test sizes the dense K x N
-    matrix serves both dimensions, with the same rows bit for bit.
+    matrix serves both dimensions, with the same rows bit for bit.  A
+    cell is kept when its rows' support meets a nonzero coefficient,
+    counted in integers over the dense rows.
     """
     F = f.spectrum
     phase, scale = _normalization(f.n, f.L, f.N)
     rows = axis_sigma_rows(f, np.arange(-k_max, k_max + 1))
-    cells = _continuum_cells(f, k_max)
+    supp = (rows != 0).astype(np.int64)
+    hits = supp @ (F != 0).astype(np.int64)
+    if f.n == 2:
+        hits = hits @ supp.T
+    cells = np.argwhere(hits > 0) - k_max
 
     out = np.zeros(len(cells))
     chunk = 64 if f.n == 1 else 16

@@ -192,6 +192,8 @@ def test_axis_sigma_rows_banded_equal_dense(L):
     k_max = default_k_max(f)
     ks = np.arange(-k_max, k_max + 1)
     dense = np.stack([_sigma_axis(f.xi_axis(), int(k)) for k in ks])
+    banded = modspace._band_rows(modspace._axis_sigma_band(f, ks), f.N)
+    assert np.array_equal(banded, dense)
     assert np.array_equal(orc.axis_sigma_rows(f, ks), dense)
 
 
@@ -379,6 +381,23 @@ def test_band_block_norms_match_ifft_oracle(f, p):
     cells_fft, blocks_fft = orc.ifft_block_norms(f, k_max, p)
     assert np.array_equal(cells, cells_fft)
     np.testing.assert_allclose(blocks, blocks_fft, rtol=1e-13)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("n", [1, 2])
+def test_continuum_norm_evaluates_the_sigma_band_once(n, p, monkeypatch):
+    # the cell list and either block route share one band; each
+    # evaluating its own made two calls per norm
+    calls = []
+    band = modspace._axis_sigma_band
+
+    def counting(*args):
+        calls.append(args)
+        return band(*args)
+    monkeypatch.setattr(modspace, "_axis_sigma_band", counting)
+    f = synthesize("random_bandlimited", n=n, L=3.5, N=64 if n == 1 else 32, seed=11, B=5.0)
+    mod_norm_record(f, NormParams(p, 2.0, WeightSpec.gevrey(2.0), mode="continuum"))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
@@ -587,6 +606,17 @@ def test_stft_norm_guards():
     wrong = synthesize("gaussian", a=1.0, N=32)
     with pytest.raises(ValueError):
         stft_norm(f, 2, 2, WeightSpec.loglog(), wrong)
+
+
+@pytest.mark.parametrize("p, q", [(-1.0, 2.0), (2.0, -1.0), (0.5, 2.0), (2.0, 0.5),
+                                  (math.nan, 2.0), (2.0, math.nan)])
+def test_stft_norm_rejects_exponents_outside_one_to_inf(p, q):
+    # unchecked, p = -1 returned 0.902, q = -1 5.8e-6, p = 0.5 262,
+    # q = 0.5 977 and a NaN exponent nan, none with a warning
+    f = synthesize("random_bandlimited", N=64, B=4.0, seed=1)
+    window = synthesize("gaussian", a=1.0, N=64)
+    with pytest.raises(ValueError, match=r"p and q must lie in \[1, inf\]"):
+        stft_norm(f, p, q, WeightSpec.gevrey(2.0), window)
 
 
 def test_stft_and_decomposition_comparable():

@@ -256,6 +256,16 @@ def test_fit_growth_envelope_rejects_a_non_finite_lhs(bad):
         fit_growth_envelope([1.0, 2.0], [bad, 1.0], "gevrey", {"s": 2.0})
 
 
+@pytest.mark.parametrize("norm, lhs", [(1e300, 1.0), (1e-300, 1e300)],
+                         ids=["underflow", "overflow"])
+def test_fit_growth_envelope_rejects_a_constant_beyond_the_float_range(norm, lhs):
+    # unchecked, c = exp(log_c) underflowed to 0.0 with min_residual =
+    # 0.0, bounds that 0 * shape cannot reproduce, or math.exp raised a
+    # bare OverflowError
+    with pytest.raises(ValueError, match="log_c"):
+        fit_growth_envelope([norm], [lhs], "gevrey", {"s": 2.0})
+
+
 _FIT_FIELDS = ("b", "c", "bounds", "residuals", "max_residual", "min_residual")
 
 
@@ -286,8 +296,13 @@ def _envelope_points(draw):
                                ("loglog", {"theta": 1.5, "N": 3.0})]))
 def test_fit_growth_envelope_matches_per_b_route(points, regime):
     vs, lhs = points
-    fast = fit_growth_envelope(vs, lhs, *regime)
     slow = orc.fit_growth_envelope_per_b(vs, lhs, *regime)
+    if not 0.0 < slow["c"] < math.inf:
+        # a lone overflowing norm underflows c; such a fit is rejected
+        with pytest.raises(ValueError, match="log_c"):
+            fit_growth_envelope(vs, lhs, *regime)
+        return
+    fast = fit_growth_envelope(vs, lhs, *regime)
     assert set(fast) == set(_FIT_FIELDS)
     for key in _FIT_FIELDS:
         assert np.array_equal(fast[key], slow[key]), key
