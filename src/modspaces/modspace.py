@@ -367,12 +367,17 @@ def _lattice_block_norms(f: SampledFunction, k_max: int, p) -> tuple[np.ndarray,
     over the grid's storage range [-N/2, N/2 - 1]; exactly-zero
     coefficients are dropped, so a zero block never meets its weight.
     """
-    cells = _points(np.arange(-k_max, min(k_max, f.N // 2 - 1) + 1), f.n)
+    cells, factor = _lattice_grid(f.n, f.L, f.N, k_max, p)
     coeffs = f.spectrum[tuple((cells % f.N).T)]
     keep = coeffs != 0
-    inv_p = 0.0 if p == math.inf else 1.0 / float(p)
-    factor = (2.0 * math.pi) ** (0.5 * f.n) * (2.0 * f.L) ** (f.n * inv_p - f.n)
     return cells[keep], factor * np.abs(coeffs[keep])
+
+
+def _lattice_grid(n: int, L: float, N: int, k_max: int, p) -> tuple[np.ndarray, float]:
+    """The lattice cells |k|_inf <= k_max of the grid, and the factor ||box_k f||_p / |F_k|."""
+    cells = _points(np.arange(-k_max, min(k_max, N // 2 - 1) + 1), n)
+    inv_p = 0.0 if p == math.inf else 1.0 / float(p)
+    return cells, (2.0 * math.pi) ** (0.5 * n) * (2.0 * L) ** (n * inv_p - n)
 
 
 def _cell_sums(band: tuple[np.ndarray, ...], a: np.ndarray, power: int) -> np.ndarray:
@@ -483,14 +488,18 @@ def _blocks(f: SampledFunction, params: NormParams) -> tuple:
     tail = _tail_fraction(f, k_max)
     warns: list[str] = []
     if tail > 1e-9:
-        msg = (f"spectral tail mass {tail:.3e} beyond |xi| <= {k_max - 1} "
-               f"exceeds 1e-9; the k sum is truncated")
+        msg = _truncation_message(tail, k_max)
         warns.append(msg)
         warnings.warn(msg, TruncationWarning, stacklevel=3)
 
     block_norms = _lattice_block_norms if params.mode == "lattice" else _continuum_block_norms
     cells, block = block_norms(f, k_max, params.p)
     return cells, block, tail, warns
+
+
+def _truncation_message(tail: float, k_max: int) -> str:
+    return (f"spectral tail mass {tail:.3e} beyond |xi| <= {k_max - 1} "
+            f"exceeds 1e-9; the k sum is truncated")
 
 
 def _weighted_lq(cells: np.ndarray, block: np.ndarray, params: NormParams) -> float:
@@ -598,13 +607,21 @@ def refine(f: SampledFunction, factor: int = 2) -> SampledFunction:
     if factor == 1:
         return f
     N2 = f.N * factor
-    F = f.spectrum
-    out = np.zeros((N2,) * f.n, dtype=np.complex128)
-    # each axis's nonnegative and negative frequencies go to the two ends
-    half = f.N // 2
-    for corner in itertools.product((slice(0, half), slice(-half, None)), repeat=f.n):
-        out[corner] = F[corner]
-    return from_spectrum(f.n, f.L, N2, out)
+    return from_spectrum(f.n, f.L, N2, _padded(f.spectrum, f.n, N2))
+
+
+def _padded(F: np.ndarray, n: int, N2: int) -> np.ndarray:
+    """Spectra F, whose last n axes are the grid, zero-padded to N2 per grid axis.
+
+    Each axis's nonnegative and negative frequencies go to the two ends;
+    leading axes, if any, index a stack of spectra.
+    """
+    out = np.zeros(F.shape[:-n] + (N2,) * n, dtype=np.complex128)
+    half = F.shape[-1] // 2
+    lead = (slice(None),) * (F.ndim - n)
+    for corner in itertools.product((slice(0, half), slice(-half, None)), repeat=n):
+        out[lead + corner] = F[lead + corner]
+    return out
 
 
 def check_algebra_ratio(corpus: Iterable[tuple],
@@ -618,12 +635,15 @@ def check_algebra_ratio(corpus: Iterable[tuple],
     rel_change is inf when either max is not finite.  extra holds the
     ratios at both scales.
 
-    The entries of params may differ in weight only, so per pair and
-    scale the refinement, the product, its spectrum, the truncation
-    tails and the block norms are computed once and shared; only the
-    weighted l^q sums run once per entry.  Raises ValueError for an
-    empty corpus, an empty params, or entries that differ in p, q,
-    mode or k_max.
+    The pairs on one grid run as one stack per refinement scale
+    (_stacked_ratios; several when a stack would pass _STACK_ELEMENTS
+    samples): one ifftn refines every factor, one fftn gives every
+    product's spectrum, and each weight is evaluated once.  The
+    entries of params may differ in weight only, so everything but the
+    weighted l^q sums is shared by them.  The ratios equal, bit for bit,
+    those of one mod_norm per norm.  Raises ValueError for an empty
+    corpus, an empty params, entries that differ in p, q, mode or
+    k_max, or a pair whose f and g grids differ.
     """
     params = list(params)
     if not params:
@@ -637,19 +657,20 @@ def check_algebra_ratio(corpus: Iterable[tuple],
     pairs = list(corpus)
     if not pairs:
         raise ValueError("check_algebra_ratio needs at least one (f, g) pair")
+    grids: dict[tuple, list[int]] = {}  # grid -> indices of its pairs
+    for j, (f, g) in enumerate(pairs):
+        if (f.n, f.L, f.N) != (g.n, g.L, g.N):
+            raise ValueError("grid mismatch in multiply")
+        grids.setdefault((f.n, f.L, f.N), []).append(j)
     pf = NormParams(2.0 * first.p, first.q, first.weight, first.mode, first.k_max)
 
     def ratios(scale):
-        out = [[] for _ in params]  # out[i][j]: pair j under params[i]
-        for f, g in pairs:
-            ff, gg = refine(f, scale), refine(g, scale)
-            blocks = [_blocks(ff, pf)[:2], _blocks(gg, pf)[:2],
-                      _blocks(multiply(ff, gg), first)[:2]]
-            for row, par in zip(out, params):
-                nf, ng, nfg = (_weighted_lq(cells, block, par) for cells, block in blocks)
-                denom = nf * ng
-                row.append(nfg / denom if denom > 0 else math.inf)
-        return out
+        out = np.empty((len(params), len(pairs)))  # out[i, j]: pair j under params[i]
+        for (n, _, N), idx in grids.items():
+            step = max(1, _STACK_ELEMENTS // (N * scale) ** n)
+            for part in (idx[i : i + step] for i in range(0, len(idx), step)):
+                out[:, part] = _stacked_ratios([pairs[j] for j in part], scale, pf, params)
+        return out.tolist()
 
     reports = []
     for par, coarse, fine in zip(params, ratios(1), ratios(2)):
@@ -672,6 +693,105 @@ def check_algebra_ratio(corpus: Iterable[tuple],
                    "rel_change": rel_change, "ratios": coarse, "ratios_refined": fine},
         ))
     return reports
+
+
+# samples per stack row times rows: a stack of complex128 rows stays near
+# 16 MB, so a corpus of large 2-d grids runs in several stacks
+_STACK_ELEMENTS = 2**20
+
+
+def _stacked_ratios(pairs: list, scale: int, pf: NormParams,
+                    params: list[NormParams]) -> np.ndarray:
+    """The ratios of pairs on one grid at one refinement scale, shape (len(params), len(pairs)).
+
+    Row j of each stack is the array that refine, multiply and
+    SampledFunction.spectrum give pair j, by the same elementwise steps,
+    and numpy.fft transforms each row of a stack as it would transform
+    the row alone.  The weights are evaluated once on the cells that
+    some row keeps; each norm is then _row_lq of one row.
+    """
+    f0 = pairs[0][0]
+    n, L, N = f0.n, f0.L, f0.N * scale
+    axes = tuple(range(-n, 0))
+    phase, norm = _normalization(n, L, N)
+    spectra = np.array([[f.spectrum for f, _ in pairs], [g.spectrum for _, g in pairs]])
+    if scale == 1:
+        values = np.array([[f.values for f, _ in pairs], [g.values for _, g in pairs]])
+    else:  # refine: from_spectrum of the padded spectra
+        spectra = _padded(spectra, n, N)
+        values = np.fft.ifftn(spectra * phase / norm, axes=axes)
+    product = values[0] * values[1]
+    stacks = [(spectra[0], values[0], pf), (spectra[1], values[1], pf),
+              (norm * phase * np.fft.fftn(product, axes=axes), product, params[0])]
+    k_maxes, rows = zip(*(_row_blocks(*stack, L) for stack in stacks))
+    k_max = k_maxes[0]  # the same for all three stacks: one grid, one k_max
+
+    used = np.zeros((2 * k_max + 1) ** n, dtype=bool)
+    for index, _ in itertools.chain(*rows):
+        used[index] = True
+    cells = _points(np.arange(-k_max, k_max + 1), n)[used]
+    table = np.zeros((len(params), used.size))
+    for row, par in zip(table, params):
+        row[used] = weight_eval(par.weight, cells)
+
+    nf, ng, nfg = (np.array([_row_lq(np.take(table, index, axis=1) * block, params[0].q)
+                             for index, block in norm_rows]).T
+                   for norm_rows in rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = nf * ng
+        return np.where(denom > 0, nfg / denom, math.inf)
+
+
+def _row_blocks(spectra: np.ndarray, values: np.ndarray, params: NormParams,
+                L: float) -> tuple[int, list]:
+    """(k_max, per row of a stack: the box index of its nonzero cells and their block norms).
+
+    The rows' spectra and values sit on one grid of half-period L; the
+    box index counts the cells of |k|_inf <= k_max in C order.  Lattice
+    rows are read from the stack, with _blocks' checks, tails and
+    warnings; continuum rows go through _blocks one by one.
+    """
+    n, N = values.ndim - 1, values.shape[-1]
+
+    def row(j):
+        return SampledFunction(n, L, N, values[j], spectra[j])
+
+    f0 = row(0)
+    _check_mode(f0, params.mode)
+    k_max = params.resolved_k_max(f0)
+    powers = (2 * k_max + 1) ** np.arange(n - 1, -1, -1)
+    if params.mode == "continuum":
+        blocks = (_blocks(row(j), params)[:2] for j in range(len(values)))
+        return k_max, [((cells + k_max) @ powers, block) for cells, block in blocks]
+    # _tail_fraction of each row; every sum runs along a C-contiguous row
+    inside = _outer(np.logical_and, [np.abs(f0.xi_axis()) <= (k_max - 1) + 1e-12] * n)
+    mass = (np.abs(spectra) ** 2).reshape(len(spectra), -1)
+    outside = np.sum(np.compress(~inside.ravel(), mass, axis=1), axis=1)
+    for total, out in zip(np.sum(mass, axis=1).tolist(), outside.tolist()):
+        tail = 0.0 if total == 0.0 else out / total
+        if tail > 1e-9:
+            warnings.warn(_truncation_message(tail, k_max), TruncationWarning, stacklevel=5)
+    cells, factor = _lattice_grid(n, L, N, k_max, params.p)
+    coeffs = spectra[(slice(None),) + tuple((cells % N).T)]
+    index = (cells + k_max) @ powers
+    return k_max, [(index[keep], block[keep])
+                   for keep, block in zip(coeffs != 0, factor * np.abs(coeffs))]
+
+
+def _row_lq(x: np.ndarray, q) -> list[float]:
+    """_lp over each row of the C-contiguous x, as Python floats; 0.0 for rows of no entries.
+
+    Each row is summed as _lp sums one array, and the final power is a
+    Python-float ** like _lp's numpy-scalar one.  A row sum over a
+    non-contiguous view, or a whole-array ** 0.5 (which numpy turns
+    into sqrt), would move the last bit.
+    """
+    if not x.shape[1]:
+        return [0.0] * len(x)
+    if q == math.inf:
+        return np.max(x, axis=1).tolist()
+    q = float(q)
+    return [s ** (1.0 / q) for s in np.sum(x**q, axis=1).tolist()]
 
 
 # ---------------------------------------------------------------------

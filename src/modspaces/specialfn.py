@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import _regime_param, w_star
+from .weights import _finite, _regime_param, w_star
 
 __all__ = [
     "gevrey_bump",
@@ -97,6 +98,10 @@ def gevrey_bump_ft(mu: float, xi) -> complex | np.ndarray:
     mu = -2), so the phases are computed only on the span of live
     nodes and written into a zeroed row of full width; summing the
     whole row keeps the pairwise-summation order, and so the sum.
+    Each term f(t) e^{-i t xi} is written as f cos(t xi) and
+    0.0 - f sin(t xi), the parts of the complex product
+    f * exp(-1j t xi) bit for bit (the 0.0 - keeps its +0.0 at xi = 0),
+    without the complex exponential.
     """
     ts, wts = _de_nodes()
     fv = gevrey_bump(mu, ts) * wts
@@ -109,7 +114,10 @@ def gevrey_bump_ft(mu: float, xi) -> complex | np.ndarray:
     terms = np.zeros((min(chunk, mags.size), ts.size), dtype=complex)
     for i in range(0, mags.size, chunk):
         x = mags[i : i + chunk]
-        terms[: x.size, span] = fv[span] * np.exp(-1j * np.outer(x, ts[span]))
+        phase = np.outer(x, ts[span])
+        live_terms = terms[: x.size, span]
+        live_terms.real = fv[span] * np.cos(phase)
+        live_terms.imag = 0.0 - fv[span] * np.sin(phase)
         vals[i : i + chunk] = np.sum(terms[: x.size], axis=1)
     vals /= SQRT_2PI
     out = vals[where.reshape(xi_arr.shape)]
@@ -189,14 +197,24 @@ def up_fourier(xi):
 
 
 def up_fourier_log_abs(xi) -> np.ndarray:
-    """log |F up(xi)|, stable far beyond the double underflow range."""
+    """log |F up(xi)|, stable far beyond the double underflow range.
+
+    The sum of the logs of up_fourier's J sinc factors.  |F up| is even,
+    so each distinct |xi| is evaluated once, in sorted order.  Level j
+    runs only on the suffix with |xi| 2^-j >= 2^-30: below that cut
+    np.sinc gives exactly 1.0, whose log adds exactly 0.0, so the sum
+    is the one over every level and every xi, bit for bit.
+    """
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    total = np.full(xi_arr.shape, -math.log(SQRT_2PI))
+    mags, where = np.unique(np.abs(xi_arr), return_inverse=True)  # NaN sorts last
+    total = np.full(mags.shape, -math.log(SQRT_2PI))
     for j in range(1, _up_depth(xi_arr) + 1):
-        y = xi_arr * 2.0 ** (-j)
+        cut = np.searchsorted(mags, 2.0 ** (j - 30))
+        y = mags[cut:] * 2.0 ** (-j)
         with np.errstate(divide="ignore"):
-            total += np.log(np.abs(np.sinc(y / math.pi)))
-    return float(total[0]) if np.ndim(xi) == 0 else total
+            total[cut:] += np.log(np.abs(np.sinc(y / math.pi)))
+    out = total[where.reshape(xi_arr.shape)]
+    return float(out[0]) if np.ndim(xi) == 0 else out
 
 
 def up_decay_bound(xi) -> float | np.ndarray:
@@ -363,7 +381,9 @@ class Density:
         """log|g| at the nodes x of measure_L1's octave ladder and at -x.
 
         It does not depend on the weight or on lam, so every measure_L1
-        call on this density shares one evaluation.
+        call on this density shares one evaluation.  The registered
+        transforms (gevrey_bump_ft, up_fourier_log_abs) evaluate each
+        distinct |xi| of that one call once, so -x costs nothing more.
         """
         x = _gauss_panels(_ML1_EDGES)[1].ravel()
         both = self.log_abs(np.concatenate([x, -x])).reshape(2, -1)
@@ -448,19 +468,31 @@ def density_by_name(name: str, **params) -> Density:
 
 
 def _log_weight(regime: str, lam: float, params: dict, xi: np.ndarray) -> np.ndarray:
-    """Log of the superposition weight applied to |xi|."""
+    """Log of the superposition weight applied to |xi|; +inf where it overflows."""
     r = np.abs(xi)
     if regime == "gevrey":
-        s = float(_regime_param(params, regime, "s"))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        s = _number_param(params, regime, "s")
+        if s == 0.0:
+            raise ValueError("gevrey regime parameter 's' must be nonzero, got 0")
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = lam * r ** (1.0 / s) * np.log(r)
         out[r == 0.0] = 0.0
         return out
     if regime == "loglog":
-        theta = float(_regime_param(params, regime, "theta"))
-        eps = float(_regime_param(params, regime, "eps"))
-        return theta * w_star(lam * r ** (1.0 + eps))
+        theta = _number_param(params, regime, "theta")
+        eps = _number_param(params, regime, "eps")
+        with np.errstate(over="ignore"):
+            return theta * w_star(lam * r ** (1.0 + eps))
     raise ValueError(f"unknown regime {regime!r}")
+
+
+def _number_param(params: dict, regime: str, key: str) -> float:
+    """params[key] as a float; a ValueError naming the key unless it is a finite number."""
+    v = _regime_param(params, regime, key)
+    if not _finite(v):
+        raise ValueError(f"{regime} regime parameter {key!r} must be a finite number, "
+                         f"got {reprlib.repr(v)}")
+    return float(v)
 
 
 _ML1_NODES, _ML1_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -494,32 +526,35 @@ def measure_L1(regime: str, density: Density, lam: float,
     converged.  An integrand may rise over dozens of octaves
     before its decay takes over; only the endpoint behavior decides.
     The weight is evaluated once per call on the nodes of the whole
-    ladder, and log|g| once per density (Density.ladder_log_abs); the
-    octaves are then summed in order.
+    ladder, and log|g| once per density (Density.ladder_log_abs).  Every
+    panel's maximum and 32-node weighted sum come from one (88 x 32)
+    array pass, each row summed as one panel alone; the octaves are
+    then accumulated in order.
 
     Returns {value, log_value, converged, octaves}.  value may overflow
     to inf while log_value stays finite; finiteness claims should test
-    converged, not the float.
+    converged, not the float.  A weight that overflows a double on the
+    ladder gives value = log_value = inf, converged false and no
+    octaves.  lam must be a finite number > 0, and s, theta and eps
+    finite numbers (s nonzero); bools and strings are rejected.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not (_finite(lam) and lam > 0):
+        raise ValueError(f"lam must be a finite number > 0, got {reprlib.repr(lam)}")
 
     halves, x = _gauss_panels(_ML1_EDGES)
     x = x.ravel()
     # both half-lines: |g(x)| + |g(-x)| share the weight (radial)
     lw = _log_weight(regime, lam, params, x)
+    if not np.all(lw < math.inf):  # overflowed (a NaN is 0 * inf at theta = 0)
+        return {"value": math.inf, "log_value": math.inf, "converged": False, "octaves": []}
     la, lb = density.ladder_log_abs
     l1 = (lw + la).reshape(halves.size, -1)
     l2 = (lw + lb).reshape(halves.size, -1)
-
-    def panel_log_integral(i: int) -> float:
-        m = max(float(np.max(l1[i])), float(np.max(l2[i])))
-        if m == -math.inf:
-            return -math.inf
-        ssum = float(np.sum(_ML1_WEIGHTS * (np.exp(l1[i] - m) + np.exp(l2[i] - m))))
-        if ssum <= 0.0:
-            return -math.inf
-        return m + math.log(halves[i] * ssum)
+    m = np.maximum(np.max(l1, axis=1), np.max(l2, axis=1))[:, None]
+    with np.errstate(invalid="ignore"):  # rows with m = -inf are dropped below
+        ssum = np.sum(_ML1_WEIGHTS * (np.exp(l1 - m) + np.exp(l2 - m)), axis=1)
+    panels = [-math.inf if mi == -math.inf or si <= 0.0 else mi + math.log(h * si)
+              for mi, si, h in zip(m[:, 0].tolist(), ssum.tolist(), halves.tolist())]
 
     log_total = -math.inf
     octs: list[float] = []
@@ -529,10 +564,10 @@ def measure_L1(regime: str, density: Density, lam: float,
         if i == 0:
             lo = -math.inf
             for j in range(_ML1_DYADIC):
-                lo = np.logaddexp(lo, panel_log_integral(j))
+                lo = np.logaddexp(lo, panels[j])
             lo = float(lo)
         else:
-            lo = panel_log_integral(_ML1_DYADIC - 1 + i)
+            lo = panels[_ML1_DYADIC - 1 + i]
         octs.append(lo)
         log_total = np.logaddexp(log_total, lo)
         if lo < log_total - 41.5:  # e^-41.5 ~ 1e-18 relative

@@ -35,6 +35,7 @@ from modspaces.specialfn import (
     _ML1_WEIGHTS,
     _de_nodes,
     _log_weight,
+    _up_depth,
     gevrey_bump,
 )
 from modspaces.superpose import _B_GRID, _log_bound_shape
@@ -583,11 +584,30 @@ def measure_L1_per_octave(regime: str, density, lam: float, params: dict | None 
 
 
 def bump_transform_direct(mu: float, xi) -> np.ndarray:
-    """gevrey_bump_ft summed at every xi, negative ones included, without conjugation."""
+    """gevrey_bump_ft summed at every xi, negative ones included, without conjugation.
+
+    Its terms are the complex products f(t) * exp(-1j t xi), the form
+    gevrey_bump_ft had before it built them from np.cos and np.sin.
+    """
     ts, wts = _de_nodes()
     fv = gevrey_bump(mu, ts) * wts
     x = np.atleast_1d(np.asarray(xi, dtype=float))
     return np.sum(fv[None, :] * np.exp(-1j * np.outer(x, ts)), axis=1) / SQRT_2PI
+
+
+def up_fourier_log_abs_every_level(xi):
+    """up_fourier_log_abs with every sinc level evaluated at every xi, signed.
+
+    The form it had before it evaluated each distinct |xi| once and cut
+    each level at |xi| 2^-j < 2^-30.
+    """
+    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
+    total = np.full(xi_arr.shape, -math.log(SQRT_2PI))
+    for j in range(1, _up_depth(xi_arr) + 1):
+        y = xi_arr * 2.0 ** (-j)
+        with np.errstate(divide="ignore"):
+            total += np.log(np.abs(np.sinc(y / math.pi)))
+    return float(total[0]) if np.ndim(xi) == 0 else total
 
 
 def stft_shift_inner_per_dimension(f, window, p) -> np.ndarray:

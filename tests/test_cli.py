@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -35,6 +36,22 @@ def strip_meta(doc):
 # ----------------------------------------------------------------------
 # envelope and determinism
 # ----------------------------------------------------------------------
+
+_PINS = pathlib.Path(__file__).parent / "data" / "special_pins.json"
+
+
+@pytest.mark.parametrize("command", ["constants --table", "special up --check",
+                                     "special bump --check --mu -1",
+                                     "special bump --check --mu -1.5"])
+def test_command_result_matches_pin(capsys, command):
+    # every leaf of the result exactly as recorded; the JSON text also
+    # tells a -0.0 from a 0.0
+    code, doc, _ = run_cli(capsys, *command.split())
+    pin = json.loads(_PINS.read_text())["commands"][command]
+    assert code == 0
+    assert doc["result"] == pin
+    assert json.dumps(doc["result"], sort_keys=True) == json.dumps(pin, sort_keys=True)
+
 
 def test_verify_partition_envelope(capsys):
     code, doc, err = run_cli(capsys, "verify", "partition", "--profile", "quick")
@@ -808,22 +825,22 @@ def test_verify_superposition_fits_once_per_regime(monkeypatch):
     assert calls == {"fit_growth_envelope": 2, "exp_minus_one_norm": 20}
 
 
-def test_verify_algebra_shares_refine_and_multiply_across_weights(monkeypatch):
-    # 50 pairs x 2 scales, once for all three weights; a check per
-    # weight would make 300 multiply and 600 refine calls
-    calls = {"multiply": 0, "refine": 0}
+def test_verify_algebra_runs_a_fixed_number_of_transforms(monkeypatch):
+    # the pairs run as stacks: one fftn at scale 1, one ifftn and one fftn
+    # at scale 2, however many pairs share the grid
+    def fft_calls(n_pairs):
+        pairs = cli._algebra_corpus(n_pairs)  # prebuilt: spectra cached
+        calls = []
+        for name in ("fft", "ifft", "fftn", "ifftn"):
+            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        reports = modspace.check_algebra_ratio(pairs, [
+            modspace.NormParams(p=2.0, q=2.0, weight=w, mode="lattice")
+            for w in cli._ALGEBRA_WEIGHTS.values()])
+        monkeypatch.undo()
+        assert len(reports) == 3 and all(r.points_checked == n_pairs for r in reports)
+        return calls
 
-    def counting(name):
-        fn = getattr(modspace, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(modspace, name, counting(name))
-    out = cli.verify_algebra("full", {})
-    assert [c["kind"] for c in out["checks"]] == [
-        "algebra_ratio_gevrey", "algebra_ratio_loglog", "algebra_ratio_polynomial"]
-    assert calls == {"multiply": 100, "refine": 200}
+    assert fft_calls(10) == fft_calls(50) == ["fftn", "ifftn", "fftn"]

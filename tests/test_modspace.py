@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -771,6 +772,70 @@ def test_check_algebra_ratio_zero_factor_is_inf_not_nan():
         assert rep.extra["max_ratio"] == rep.extra["max_ratio_refined"] == math.inf
         assert rep.extra["rel_change"] == math.inf
         assert rep.min_margin == -math.inf and not rep.passed
+
+
+def _pairs(seed, n=1, N=64, B=6.0, L=math.pi):
+    return (synthesize("random_bandlimited", n=n, N=N, L=L, B=B, seed=seed),
+            synthesize("random_bandlimited", n=n, N=N, L=L, B=B, seed=seed + 1))
+
+
+# corpora and norms the campaign never builds: (pairs, changes to every NormParams)
+_STACK_CASES = {
+    "two-grids": (lambda: [_pairs(200), _pairs(202, N=128, B=20.0), _pairs(204),
+                           _pairs(206, N=128, B=20.0)], {}),
+    "2d": (lambda: [_pairs(210, n=2, N=16, B=4.0), _pairs(212, n=2, N=32, B=5.0)], {}),
+    "p-inf": (lambda: [_pairs(220), _pairs(222)], {"p": math.inf}),
+    "q-1": (lambda: [_pairs(230), _pairs(232, n=2, N=16, B=4.0)], {"q": 1.0}),
+    "q-inf": (lambda: [_pairs(240), _pairs(242)], {"q": math.inf}),
+    "k_max": (lambda: [_pairs(250, N=64, B=20.0), _pairs(252, N=64, B=20.0)], {"k_max": 10}),
+    "zero-factor": (lambda: cli._algebra_corpus(2) + [_zero_pair()], {}),
+    "continuum": (lambda: [_pairs(260, L=5.0), _pairs(262, L=5.0)], {"mode": "continuum"}),
+}
+
+
+@pytest.mark.filterwarnings("ignore::modspaces.modspace.TruncationWarning")
+@pytest.mark.parametrize("case", sorted(_STACK_CASES))
+def test_check_algebra_ratio_stacks_match_per_norm_route(case):
+    # the stacked route against one mod_norm per norm and weight, exactly,
+    # at both scales, with as many TruncationWarnings as one weight's
+    # per-norm route, which the per-pair route emitted
+    corpus, changes = _STACK_CASES[case]
+    pairs = corpus()
+    params = _algebra_params(**changes)
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        reports = check_algebra_ratio(pairs, params)
+    with warnings.catch_warnings(record=True) as expected:
+        warnings.simplefilter("always")
+        orc.algebra_ratios_per_norm(pairs, params[0], 1)
+        orc.algebra_ratios_per_norm(pairs, params[0], 2)
+    count = [sum(issubclass(w.category, TruncationWarning) for w in ws) for ws in (got, expected)]
+    assert count[0] == count[1]
+    if case == "k_max":
+        assert count[0] > 0
+    for rep, par in zip(reports, params):
+        assert rep.extra["ratios"] == orc.algebra_ratios_per_norm(pairs, par, 1)
+        assert rep.extra["ratios_refined"] == orc.algebra_ratios_per_norm(pairs, par, 2)
+
+
+def test_check_algebra_ratio_splits_a_large_corpus_into_stacks(monkeypatch):
+    # 128 samples per stack: two pairs per stack at N = 64, one at the
+    # refined N = 128; the ratios stay those of the per-norm route
+    monkeypatch.setattr(modspace, "_STACK_ELEMENTS", 128)
+    pairs = [_pairs(270 + 2 * i) for i in range(5)]
+    params = _algebra_params(q=1.0)
+    for rep, par in zip(check_algebra_ratio(pairs, params), params):
+        assert rep.extra["ratios"] == orc.algebra_ratios_per_norm(pairs, par, 1)
+        assert rep.extra["ratios_refined"] == orc.algebra_ratios_per_norm(pairs, par, 2)
+
+
+@pytest.mark.parametrize("g", [synthesize("random_bandlimited", N=128, B=6.0, seed=71),
+                               synthesize("random_bandlimited", L=5.0, B=6.0, seed=71)],
+                         ids=["N", "L"])
+def test_check_algebra_ratio_rejects_a_pair_on_two_grids(g):
+    f = synthesize("random_bandlimited", B=6.0, seed=70)
+    with pytest.raises(ValueError, match="grid mismatch in multiply"):
+        check_algebra_ratio(cli._algebra_corpus(1) + [(f, g)], _algebra_params())
 
 
 @pytest.mark.parametrize("corpus, params, match", [

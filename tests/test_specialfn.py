@@ -1,6 +1,8 @@
 """Bump and scaling-equation exemplars, densities, weighted integrals."""
 
+import json
 import math
+import pathlib
 
 import mpmath as mp
 import numpy as np
@@ -8,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modspaces.cli import _strict_json
 from modspaces.specialfn import (
+    _ML1_EDGES,
     Density,
+    _gauss_panels,
     density_by_name,
     density_condition_quotient,
     gevrey_bump,
@@ -152,6 +157,52 @@ def test_up_decay_majorant_holds():
     xs = np.geomspace(2.0, 1e5, 400)
     assert np.all(up_fourier_log_abs(xs) <= np.log(up_decay_bound(xs)) + 1e-12)
     assert up_decay_bound(4.0) == pytest.approx(1.0 / SQRT_2PI, rel=1e-13)
+
+
+# the +x and -x nodes of measure_L1's ladder, the bump fit grid, and edge points
+_LADDER = _gauss_panels(_ML1_EDGES)[1].ravel()
+_XI_SETS = {
+    "ladder": np.concatenate([_LADDER, -_LADDER]),
+    "fit_grid": np.linspace(5.0, 200.0, 40),
+    "edges": np.array([0.0, 2.0**-40, 2.0**63, math.nan]),
+}
+
+
+def test_sinc_below_the_level_cut_is_exactly_one():
+    # the premise of up_fourier_log_abs's cut: these factors add log(1.0) = 0.0
+    rng = np.random.default_rng(7)
+    y = np.concatenate([[0.0, 5e-324, 2.0**-60, np.nextafter(2.0**-30, 0.0)],
+                        2.0**-30 * rng.random(100_000)])
+    assert np.all(np.sinc(y / math.pi) == 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(_XI_SETS))
+def test_up_log_abs_matches_every_level_form(name):
+    xi = _XI_SETS[name]
+    np.testing.assert_array_equal(up_fourier_log_abs(xi), orc.up_fourier_log_abs_every_level(xi))
+    for x in xi[:: max(1, xi.size // 64)]:  # scalars too, each with its own depth
+        got, ref = up_fourier_log_abs(float(x)), orc.up_fourier_log_abs_every_level(float(x))
+        assert got == ref or (math.isnan(got) and math.isnan(ref))
+
+
+def test_up_ladder_matches_every_level_form():
+    la, lb = density_by_name("up").ladder_log_abs
+    np.testing.assert_array_equal(np.concatenate([la, lb]),
+                                  orc.up_fourier_log_abs_every_level(_XI_SETS["ladder"]))
+
+
+@pytest.mark.parametrize("name", sorted(_XI_SETS))
+@pytest.mark.parametrize("mu", [-1.0, -1.5, -2.0])
+def test_bump_transform_matches_complex_exp_form(mu, name):
+    xi = _XI_SETS[name]
+    ref = np.concatenate([orc.bump_transform_direct(mu, xi[i : i + 256])
+                          for i in range(0, xi.size, 256)])
+    got = gevrey_bump_ft(mu, xi)
+    np.testing.assert_array_equal(got, ref)
+    # the signs of zero parts too (the imaginary part at xi = 0 is +0.0)
+    finite = np.isfinite(got)
+    assert np.array_equal(np.signbit(got[finite].real), np.signbit(ref[finite].real))
+    assert np.array_equal(np.signbit(got[finite].imag), np.signbit(ref[finite].imag))
 
 
 def test_up_grid_mass_and_range():
@@ -318,6 +369,54 @@ def test_measure_evaluates_the_ladder_once_per_density(name):
     assert len(calls) == 1
     for lam, res in zip(lams, got):
         assert res == orc.measure_L1_per_octave("gevrey", density, lam, {"s": 2.0})
+
+
+_PINS = json.loads((pathlib.Path(__file__).parent / "data" / "special_pins.json").read_text())
+
+
+def test_measure_matches_pins():
+    # the campaign's six calls and the acceptance battery's theta = 1.5 ones,
+    # every field exactly as recorded
+    densities = {"gevrey_bump(mu=-2)": density_by_name("gevrey_bump", mu=-2.0),
+                 "up": density_by_name("up")}
+    assert len(_PINS["measure_L1"]) == 9
+    for pin in _PINS["measure_L1"]:
+        got = _strict_json(measure_L1(pin["regime"], densities[pin["density"]],
+                                      pin["lam"], pin["params"]))
+        assert got == pin["out"]
+        assert json.dumps(got, sort_keys=True) == json.dumps(pin["out"], sort_keys=True)
+
+
+@pytest.mark.parametrize("regime, lam, params, name", [
+    ("gevrey", math.nan, {"s": 2.0}, "lam"),
+    ("gevrey", math.inf, {"s": 2.0}, "lam"),
+    ("gevrey", True, {"s": 2.0}, "lam"),
+    ("gevrey", "1", {"s": 2.0}, "lam"),
+    ("gevrey", 1.0, {"s": math.nan}, "'s'"),
+    ("gevrey", 1.0, {"s": -math.inf}, "'s'"),
+    ("gevrey", 1.0, {"s": True}, "'s'"),
+    ("gevrey", 1.0, {"s": "2"}, "'s'"),
+    ("gevrey", 1.0, {"s": 0.0}, "'s'"),
+    ("loglog", 1.0, {"theta": math.nan, "eps": 0.5}, "'theta'"),
+    ("loglog", 1.0, {"theta": "1", "eps": 0.5}, "'theta'"),
+    ("loglog", 1.0, {"theta": 1.0, "eps": math.inf}, "'eps'"),
+    ("loglog", 1.0, {"theta": 1.0, "eps": False}, "'eps'"),
+], ids=["lam-nan", "lam-inf", "lam-bool", "lam-str", "s-nan", "s-minus-inf", "s-bool",
+        "s-str", "s-zero", "theta-nan", "theta-str", "eps-inf", "eps-bool"])
+def test_measure_rejects_a_parameter_that_is_no_finite_number(regime, lam, params, name):
+    # at the parent a NaN or inf came back as value inf beside log_value nan
+    with pytest.raises(ValueError, match=name):
+        measure_L1(regime, density_by_name("gaussian"), lam, params)
+
+
+@pytest.mark.parametrize("regime, name, params", [
+    ("gevrey", "gevrey_bump", {"s": 2.0}),
+    ("loglog", "up", {"theta": 1.0, "eps": 0.5}),
+])
+def test_measure_reports_an_overflowing_weight_as_not_converged(regime, name, params):
+    # lam = 1e308 overflows the weight on the ladder; inf - inf once gave log_value nan
+    out = measure_L1(regime, _ML1_DENSITIES[name](), 1e308, params)
+    assert out == {"value": math.inf, "log_value": math.inf, "converged": False, "octaves": []}
 
 
 def test_measure_validation():
