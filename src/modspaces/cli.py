@@ -49,6 +49,8 @@ from .constants import (
 )
 from .modspace import (
     NormParams,
+    _bandlimited_spectra,
+    _from_spectra,
     check_algebra_ratio,
     load_function,
     mod_norm,
@@ -69,7 +71,7 @@ from .specialfn import (
     up_grid,
 )
 from .superpose import (
-    bound_scan,
+    _scan_rows,
     fit_growth_envelope,
     lipschitz_check,
     phase_split,
@@ -319,12 +321,14 @@ def verify_partition_family(profile: str, config: dict) -> dict:
 
 
 def _algebra_corpus(n_pairs: int):
-    pairs = []
-    for i in range(n_pairs):
-        f = synthesize("random_bandlimited", n=1, N=128, seed=100 + 2 * i, B=20.0)
-        g = synthesize("random_bandlimited", n=1, N=128, seed=101 + 2 * i, B=20.0)
-        pairs.append((f, g))
-    return pairs
+    """The algebra family's pairs, drawn and inverse-transformed as one stack.
+
+    Pair i is synthesize("random_bandlimited", n=1, N=128, B=20) at
+    seeds 100 + 2i and 101 + 2i, the same floats.
+    """
+    spectra = _bandlimited_spectra(1, math.pi, 128, 20.0, True, range(100, 100 + 2 * n_pairs))
+    fs = _from_spectra(1, math.pi, 128, spectra)
+    return list(zip(fs[0::2], fs[1::2]))
 
 
 def verify_algebra(profile: str, config: dict) -> dict:
@@ -426,7 +430,7 @@ def verify_superposition(profile: str, config: dict) -> dict:
 
     # one-sided growth envelopes with a single constant pair per regime,
     # fitted to the (norm, lhs) points of every fixture's scan
-    rows = [row for f in fixtures for row in bound_scan(f, params, st["lambdas"])]
+    rows = _scan_rows(fixtures, params, st["lambdas"])
     vs = [row["norm_u"] for row in rows]
     lhss = [row["lhs"] for row in rows]
     for regime, rp in (("gevrey", {"s": 2.0}),

@@ -165,12 +165,23 @@ def _normalization(n: int, L: float, N: int) -> tuple[np.ndarray, float]:
 
 def from_spectrum(n: int, L: float, N: int, coeffs: np.ndarray) -> SampledFunction:
     """Build a SampledFunction whose spectrum equals coeffs (FFT order)."""
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    return _from_spectra(n, L, N, np.asarray(coeffs, dtype=np.complex128)[None])[0]
+
+
+def _from_spectra(n: int, L: float, N: int, coeffs: np.ndarray) -> list[SampledFunction]:
+    """from_spectrum of each row of the stack coeffs, by one inverse transform of the stack.
+
+    numpy.fft transforms each row of a stack as it would the row alone,
+    so every function's samples are the floats from_spectrum would give.
+    """
     phase, scale = _normalization(n, L, N)
-    values = np.fft.ifftn(coeffs * phase / scale)
-    f = SampledFunction(n, L, N, values)
-    object.__setattr__(f, "_spectrum", coeffs.copy())
-    return f
+    values = np.fft.ifftn(coeffs * phase / scale, axes=tuple(range(-n, 0)))
+    out = []
+    for c, v in zip(coeffs, values):
+        f = SampledFunction(n, L, N, v)
+        object.__setattr__(f, "_spectrum", c.copy())
+        out.append(f)
+    return out
 
 
 def default_k_max(f: SampledFunction) -> int:
@@ -221,32 +232,43 @@ def synthesize(kind: str, *, n: int = 1, L: float = math.pi, N: int = 256,
         return SampledFunction(n, L, N, vals.astype(np.complex128))
 
     if kind == "random_bandlimited":
-        B = float(params.get("B", 8.0))
-        real = bool(params.get("real", True))
-        if not B >= 0:
-            raise ValueError(f"band {B} must be nonnegative")
-        nyq = math.pi * (N // 2 - 1) / L
-        if B > nyq:
-            raise ValueError(f"band {B} exceeds the Nyquist range {nyq:.6g}")
-        if seed is None:
-            raise ValueError("random_bandlimited requires a seed")
-        rng = np.random.default_rng(seed)
-        m_band = int(math.floor(B * L / math.pi))
-        modes = _points(np.arange(-m_band, m_band + 1), n)
-        # sqrt of the exact integer |m|^2 is math.hypot's float bit for bit
-        modes = modes[math.pi * np.sqrt(np.sum(modes * modes, axis=1)) / L <= B + 1e-12]
-        draws = rng.standard_normal((len(modes), 2)).view(np.complex128)[:, 0]
-        if real:
-            # the modes are sorted and closed under m -> -m, so row i's
-            # mirror is row M-1-i and the middle row is m = 0
-            h = len(modes) // 2
-            draws[h + 1 :] = draws[:h][::-1].conj()
-            draws[h : h + 1] = draws[h : h + 1].real
-        coeffs = np.zeros((N,) * n, dtype=np.complex128)
-        coeffs[tuple((modes % N).T)] = draws
-        return from_spectrum(n, L, N, coeffs)
+        coeffs = _bandlimited_spectra(n, L, N, float(params.get("B", 8.0)),
+                                      bool(params.get("real", True)), [seed])
+        return _from_spectra(n, L, N, coeffs)[0]
 
     raise ValueError(f"unknown synthesis kind {kind!r}")
+
+
+def _bandlimited_spectra(n: int, L: float, N: int, B: float, real: bool,
+                         seeds: Sequence) -> np.ndarray:
+    """The spectrum synthesize("random_bandlimited") draws for each seed, stacked.
+
+    Seeded complex Gaussian coefficients on the modes |xi|_2 <= B, found
+    once for all seeds, Hermitian-symmetrized when real, in FFT storage
+    order; shape (len(seeds),) + (N,)*n.
+    """
+    if not B >= 0:
+        raise ValueError(f"band {B} must be nonnegative")
+    nyq = math.pi * (N // 2 - 1) / L
+    if B > nyq:
+        raise ValueError(f"band {B} exceeds the Nyquist range {nyq:.6g}")
+    if any(seed is None for seed in seeds):
+        raise ValueError("random_bandlimited requires a seed")
+    m_band = int(math.floor(B * L / math.pi))
+    modes = _points(np.arange(-m_band, m_band + 1), n)
+    # sqrt of the exact integer |m|^2 is math.hypot's float bit for bit
+    modes = modes[math.pi * np.sqrt(np.sum(modes * modes, axis=1)) / L <= B + 1e-12]
+    draws = np.array([np.random.default_rng(seed).standard_normal((len(modes), 2))
+                      for seed in seeds]).view(np.complex128)[..., 0]
+    if real:
+        # the modes are sorted and closed under m -> -m, so column i's
+        # mirror is column M-1-i and the middle column is m = 0
+        h = len(modes) // 2
+        draws[:, h + 1 :] = draws[:, :h][:, ::-1].conj()
+        draws[:, h : h + 1] = draws[:, h : h + 1].real
+    coeffs = np.zeros((len(draws),) + (N,) * n, dtype=np.complex128)
+    coeffs[(slice(None),) + tuple((modes % N).T)] = draws
+    return coeffs
 
 
 # ---------------------------------------------------------------------
@@ -723,17 +745,9 @@ def _stacked_ratios(pairs: list, scale: int, pf: NormParams,
     product = values[0] * values[1]
     stacks = [(spectra[0], values[0], pf), (spectra[1], values[1], pf),
               (norm * phase * np.fft.fftn(product, axes=axes), product, params[0])]
-    k_maxes, rows = zip(*(_row_blocks(*stack, L) for stack in stacks))
+    k_maxes, rows, _ = zip(*(_row_blocks(*stack, L) for stack in stacks))
     k_max = k_maxes[0]  # the same for all three stacks: one grid, one k_max
-
-    used = np.zeros((2 * k_max + 1) ** n, dtype=bool)
-    for index, _ in itertools.chain(*rows):
-        used[index] = True
-    cells = _points(np.arange(-k_max, k_max + 1), n)[used]
-    table = np.zeros((len(params), used.size))
-    for row, par in zip(table, params):
-        row[used] = weight_eval(par.weight, cells)
-
+    table = _weight_table(itertools.chain(*rows), k_max, n, params)
     nf, ng, nfg = (np.array([_row_lq(np.take(table, index, axis=1) * block, params[0].q)
                              for index, block in norm_rows]).T
                    for norm_rows in rows)
@@ -742,14 +756,50 @@ def _stacked_ratios(pairs: list, scale: int, pf: NormParams,
         return np.where(denom > 0, nfg / denom, math.inf)
 
 
+def _weight_table(rows: Iterable, k_max: int, n: int, params: list[NormParams]) -> np.ndarray:
+    """Each params' weight by box index, shape (len(params), (2 k_max + 1)^n).
+
+    rows are _row_blocks entries (index, block norms); each weight is
+    evaluated once, on the cells that some row keeps, and is zero at
+    the others.
+    """
+    used = np.zeros((2 * k_max + 1) ** n, dtype=bool)
+    for index, _ in rows:
+        used[index] = True
+    cells = _points(np.arange(-k_max, k_max + 1), n)[used]
+    table = np.zeros((len(params), used.size))
+    for row, par in zip(table, params):
+        row[used] = weight_eval(par.weight, cells)
+    return table
+
+
+def _row_records(spectra: np.ndarray, values: np.ndarray, params: NormParams,
+                 L: float) -> list[dict]:
+    """mod_norm_record of each row of a stack on one grid of half-period L, bit for bit.
+
+    The blocks and tails come from _row_blocks (which warns per row as
+    _blocks does), the weight from one evaluation on the cells the rows
+    keep, and each value is _row_lq of its row.
+    """
+    k_max, rows, tails = _row_blocks(spectra, values, params, L)
+    (table,) = _weight_table(rows, k_max, values.ndim - 1, [params])
+    return [{"params": params.to_dict(),
+             "value": _row_lq((table[index] * block)[None], params.q)[0],
+             "truncation_tail": tail,
+             "warnings": [_truncation_message(tail, k_max)] if tail > 1e-9 else []}
+            for (index, block), tail in zip(rows, tails)]
+
+
 def _row_blocks(spectra: np.ndarray, values: np.ndarray, params: NormParams,
-                L: float) -> tuple[int, list]:
-    """(k_max, per row of a stack: the box index of its nonzero cells and their block norms).
+                L: float) -> tuple[int, list, list[float]]:
+    """(k_max, per row of a stack: the box index of its nonzero cells and their block norms,
+    and the rows' truncation tails).
 
     The rows' spectra and values sit on one grid of half-period L; the
-    box index counts the cells of |k|_inf <= k_max in C order.  Lattice
-    rows are read from the stack, with _blocks' checks, tails and
-    warnings; continuum rows go through _blocks one by one.
+    box index counts the cells of |k|_inf <= k_max in C order, and a
+    row's tail is its _tail_fraction.  Lattice rows are read from the
+    stack, with _blocks' checks, tails and warnings; continuum rows go
+    through _blocks one by one.
     """
     n, N = values.ndim - 1, values.shape[-1]
 
@@ -761,21 +811,23 @@ def _row_blocks(spectra: np.ndarray, values: np.ndarray, params: NormParams,
     k_max = params.resolved_k_max(f0)
     powers = (2 * k_max + 1) ** np.arange(n - 1, -1, -1)
     if params.mode == "continuum":
-        blocks = (_blocks(row(j), params)[:2] for j in range(len(values)))
-        return k_max, [((cells + k_max) @ powers, block) for cells, block in blocks]
+        blocks = [_blocks(row(j), params) for j in range(len(values))]
+        return (k_max, [((cells + k_max) @ powers, block) for cells, block, _, _ in blocks],
+                [tail for _, _, tail, _ in blocks])
     # _tail_fraction of each row; every sum runs along a C-contiguous row
     inside = _outer(np.logical_and, [np.abs(f0.xi_axis()) <= (k_max - 1) + 1e-12] * n)
     mass = (np.abs(spectra) ** 2).reshape(len(spectra), -1)
     outside = np.sum(np.compress(~inside.ravel(), mass, axis=1), axis=1)
+    tails = []
     for total, out in zip(np.sum(mass, axis=1).tolist(), outside.tolist()):
-        tail = 0.0 if total == 0.0 else out / total
-        if tail > 1e-9:
-            warnings.warn(_truncation_message(tail, k_max), TruncationWarning, stacklevel=5)
+        tails.append(0.0 if total == 0.0 else out / total)
+        if tails[-1] > 1e-9:
+            warnings.warn(_truncation_message(tails[-1], k_max), TruncationWarning, stacklevel=5)
     cells, factor = _lattice_grid(n, L, N, k_max, params.p)
     coeffs = spectra[(slice(None),) + tuple((cells % N).T)]
     index = (cells + k_max) @ powers
     return k_max, [(index[keep], block[keep])
-                   for keep, block in zip(coeffs != 0, factor * np.abs(coeffs))]
+                   for keep, block in zip(coeffs != 0, factor * np.abs(coeffs))], tails
 
 
 def _row_lq(x: np.ndarray, q) -> list[float]:

@@ -29,11 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modspace import (
+    _STACK_ELEMENTS,
     NormParams,
     SampledFunction,
+    _normalization,
+    _padded,
+    _row_records,
     from_spectrum,
     mod_norm,
-    mod_norm_record,
     refine,
 )
 from .partition import _outer
@@ -61,14 +64,14 @@ _OVERSAMPLE = 4
 _B_GRID = np.geomspace(1e-3, 10.0, 80)
 
 
-def _require_real(u: SampledFunction, who: str) -> np.ndarray:
-    """Return the real samples of u, rejecting genuinely complex input."""
-    scale = max(1.0, float(np.max(np.abs(u.values.real))) if u.values.size else 1.0)
-    worst = float(np.max(np.abs(u.values.imag))) if u.values.size else 0.0
+def _require_real(values: np.ndarray, who: str) -> np.ndarray:
+    """Return the real parts of a function's samples, rejecting genuinely complex input."""
+    scale = max(1.0, float(np.max(np.abs(values.real))) if values.size else 1.0)
+    worst = float(np.max(np.abs(values.imag))) if values.size else 0.0
     if worst > _REAL_TOL * scale:
         raise ValueError(f"{who} requires real-valued input "
                          f"(max |imag| = {worst:.3g})")
-    return u.values.real
+    return values.real
 
 
 def _require_inner_exponent(params: NormParams, who: str) -> None:
@@ -112,7 +115,7 @@ def phase_split(u: SampledFunction, R: float) -> PhaseSplit:
     """Split u spectrally into the cube |xi|_inf <= R plus 2^n orthant tails."""
     if R < 2.0:
         raise ValueError("the split radius must be at least 2")
-    _require_real(u, "phase_split")
+    _require_real(u.values, "phase_split")
     F = u.spectrum
     xi = u.xi_axis()
 
@@ -172,17 +175,42 @@ def exp_minus_one_norm(u: SampledFunction, params: NormParams, *,
     Spectral mass beyond the retained band above 1e-6 of the total is a
     hard error: the grid is too coarse for the answer to mean anything.
     Smaller leakage is reported through the usual TruncationWarning.
+    This is the one-row call of the stacked route bound_scan runs
+    (_exp_minus_one_rows); record=True returns mod_norm_record's dict.
+    """
+    (rec,) = _exp_minus_one_rows(u.values[None], u.n, u.L, params)
+    return rec if record else rec["value"]
+
+
+def _exp_minus_one_rows(values: np.ndarray, n: int, L: float, params: NormParams) -> list[dict]:
+    """exp_minus_one_norm's record for each row of the sample stack values, bit for bit.
+
+    values has shape (rows,) + (N,)*n on the grid of half-period L.  The
+    real parts' spectra, the 4x refinement, e^{iu} - 1 and its spectra
+    are one stack each; numpy.fft transforms every row as it would the
+    row alone, and the elementwise steps are those of refine and
+    SampledFunction.spectrum.  The norms are modspace._row_records.
+    Errors come per row, in row order: a complex row, then (after every
+    row's TruncationWarning) a tail above 1e-6.
     """
     _require_inner_exponent(params, "exp_minus_one_norm")
-    vals = _require_real(u, "exp_minus_one_norm")
-    fine = refine(u.copy_with(vals.astype(np.complex128)), _OVERSAMPLE)
-    composed = fine.copy_with(np.exp(1j * fine.values.real) - 1.0)
-    rec = mod_norm_record(composed, params)
-    if rec["truncation_tail"] > 1e-6:
-        raise ValueError(
-            "spectral tail {:.3g} of e^(iu)-1 exceeds 1e-6 of the total; "
-            "refine the grid".format(rec["truncation_tail"]))
-    return rec if record else rec["value"]
+    for row in values:
+        _require_real(row, "exp_minus_one_norm")
+    axes = tuple(range(-n, 0))
+    N = values.shape[-1]
+    phase, scale = _normalization(n, L, N)
+    spectra = scale * phase * np.fft.fftn(values.real.astype(np.complex128), axes=axes)
+    N_fine = _OVERSAMPLE * N
+    phase, scale = _normalization(n, L, N_fine)
+    fine = np.fft.ifftn(_padded(spectra, n, N_fine) * phase / scale, axes=axes)
+    composed = np.exp(1j * fine.real) - 1.0
+    records = _row_records(scale * phase * np.fft.fftn(composed, axes=axes), composed, params, L)
+    for rec in records:
+        if rec["truncation_tail"] > 1e-6:
+            raise ValueError(
+                "spectral tail {:.3g} of e^(iu)-1 exceeds 1e-6 of the total; "
+                "refine the grid".format(rec["truncation_tail"]))
+    return records
 
 
 def _log_bound_shape(regime: str, v: np.ndarray, b,
@@ -266,16 +294,39 @@ def bound_scan(u: SampledFunction, params: NormParams, lambdas) -> list:
     v = ||lambda u|| and the left side L = ||e^{i lambda u} - 1|| of
     the growth bound.  Fitting an envelope c * shape(v; b) >= L to the
     rows, pooled over any number of scans, is fit_growth_envelope's job.
+    This is the one-fixture call of _scan_rows: every lambda runs in
+    one stack, with the values mod_norm and exp_minus_one_norm give.
     """
-    rows = []
-    for lam in map(float, lambdas):
-        scaled = u.copy_with(lam * u.values)
-        rows.append({
-            "lambda": lam,
-            "norm_u": mod_norm(scaled, params),
-            "lhs": exp_minus_one_norm(scaled, params),
-        })
-    return rows
+    return _scan_rows([u], params, lambdas)
+
+
+def _scan_rows(fixtures: list, params: NormParams, lambdas) -> list:
+    """bound_scan's rows of each fixture in turn, all of them as stacks.
+
+    The fixtures share one grid.  Row (u, lambda) holds lambda * u.values;
+    the rows' spectra, their norms (modspace._row_records) and
+    e^{i lambda u} - 1 (_exp_minus_one_rows) are one stack each, in parts
+    when the refined stack would pass _STACK_ELEMENTS samples.  Each
+    value equals, bit for bit, that of mod_norm and exp_minus_one_norm
+    on the row alone, and each row warns as they would.
+    """
+    rows = [(u, float(lam)) for u in fixtures for lam in lambdas]
+    if not rows:
+        return []
+    n, L, N = fixtures[0].n, fixtures[0].L, fixtures[0].N
+    if any((u.n, u.L, u.N) != (n, L, N) for u in fixtures):
+        raise ValueError("the fixtures of one scan must share a grid")
+    phase, scale = _normalization(n, L, N)
+    step = max(1, _STACK_ELEMENTS // (_OVERSAMPLE * N) ** n)
+    out = []
+    for part in (rows[i : i + step] for i in range(0, len(rows), step)):
+        values = np.array([lam * u.values for u, lam in part])
+        spectra = scale * phase * np.fft.fftn(values, axes=tuple(range(-n, 0)))
+        norms = _row_records(spectra, values, params, L)
+        lhs = _exp_minus_one_rows(values, n, L, params)
+        out += [{"lambda": lam, "norm_u": norm["value"], "lhs": rec["value"]}
+                for (_, lam), norm, rec in zip(part, norms, lhs)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +389,7 @@ def compose(f_name, u: SampledFunction, *,
     by quadrature over the density's effective support.  Either way
     f(0) = 0, so composition preserves decay at infinity.
     """
-    vals = _require_real(u, "compose")
+    vals = _require_real(u.values, "compose")
     fine = refine(u.copy_with(vals.astype(np.complex128)), _OVERSAMPLE)
     t = fine.values.real
     if isinstance(f_name, Density):
@@ -371,8 +422,8 @@ def lipschitz_check(u: SampledFunction, v: SampledFunction,
     if (u.n, u.L, u.N) != (v.n, v.L, v.N):
         raise ValueError("lipschitz_check needs a shared grid")
     _require_inner_exponent(params, "lipschitz_check")
-    uu = _require_real(u, "lipschitz_check")
-    vv = _require_real(v, "lipschitz_check")
+    uu = _require_real(u.values, "lipschitz_check")
+    vv = _require_real(v.values, "lipschitz_check")
 
     eu, ev = np.exp(1j * uu), np.exp(1j * vv)
     ed = np.exp(1j * (uu - vv)) - 1.0

@@ -25,10 +25,17 @@ from modspaces.modspace import (
     _normalization,
     from_spectrum,
     mod_norm,
+    mod_norm_record,
     multiply,
     refine,
 )
-from modspaces.partition import WindowFunction, _sigma_axis, sigma_eval, sigma_partial
+from modspaces.partition import (
+    WindowFunction,
+    _quotient_rule,
+    _sigma_axis,
+    sigma_eval,
+    sigma_partial,
+)
 from modspaces.specialfn import (
     SQRT_2PI,
     _ML1_NODES,
@@ -38,7 +45,7 @@ from modspaces.specialfn import (
     _up_depth,
     gevrey_bump,
 )
-from modspaces.superpose import _B_GRID, _log_bound_shape
+from modspaces.superpose import _B_GRID, _OVERSAMPLE, _log_bound_shape
 from modspaces.weights import VerificationReport, WeightAnalysis, w_star
 
 mp.mp.dps = 30
@@ -374,6 +381,69 @@ def sweep_loglog_gather(s: float, grid_max: float, step: float, n_random: int,
     return best_margin, worst, count
 
 
+def _e_chain(t, order: int = 0):
+    """exp(-1/t) for t > 0, zero otherwise, or its derivative, one order per call."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    pos = t > 0
+    tp = t[pos]
+    e = np.exp(-1.0 / tp)
+    out[pos] = e if order == 0 else e / (tp * tp) if order == 1 else e * (1.0 / tp**4 - 2.0 / tp**3)
+    return out
+
+
+def _h_chain(t, order: int = 0):
+    """Smooth step e(t)/(e(t)+e(1-t)) or its derivative, each e^(j) taken afresh."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    if order == 0:
+        out[t >= 1.0] = 1.0
+    inside = (t > 0.0) & (t < 1.0)
+    ti = t[inside]
+    u, D = [], []
+    for j in range(order + 1):
+        a, b = _e_chain(ti, j), _e_chain(1.0 - ti, j)
+        u.append(a)
+        D.append(a - b if j == 1 else a + b)
+    out[inside] = _quotient_rule(u, D)
+    return out
+
+
+def rho1_chain(xi, order: int = 0):
+    """The window profile one order per call: the route before the one-pass kernel."""
+    xi = np.asarray(xi, dtype=float)
+    r = np.abs(xi)
+    out = np.zeros(r.shape, dtype=float)
+    trans = (r > 0.5) & (r < 1.0)
+    if order == 0:
+        out[r <= 0.5] = 1.0
+        out[trans] = _h_chain(2.0 * (1.0 - r[trans]))
+    elif order == 1:
+        sg = np.sign(xi[trans])
+        out[trans] = -2.0 * sg * _h_chain(2.0 * (1.0 - r[trans]), 1)
+    else:
+        out[trans] = 4.0 * _h_chain(2.0 * (1.0 - r[trans]), 2)
+    return out
+
+
+def lattice_sum_chain(x, order: int = 0):
+    """S(x) = sum_j rho1(x - j) over round(x) + {-1, 0, 1}, one neighbour per call."""
+    x = np.asarray(x, dtype=float)
+    r = np.rint(x)
+    total = np.zeros(x.shape, dtype=float)
+    for off in (-1.0, 0.0, 1.0):
+        total = total + rho1_chain(x - (r + off), order)
+    return total
+
+
+def sigma_axis_chain(x, k, order: int = 0):
+    """rho1(x-k)/S(x) and its derivatives through the per-order chain _e -> _h -> rho1 -> S."""
+    x = np.asarray(x, dtype=float)
+    orders = range(order + 1)
+    return _quotient_rule([rho1_chain(x - k, j) for j in orders],
+                          [lattice_sum_chain(x, j) for j in orders])
+
+
 def verify_partition_per_cell(w: WindowFunction, grid=None) -> VerificationReport:
     """verify_partition with sigma_eval on every point of the grid for every cell.
 
@@ -385,9 +455,11 @@ def verify_partition_per_cell(w: WindowFunction, grid=None) -> VerificationRepor
     if grid is None:
         m = 10_000 if n == 1 else 101
         axis = np.linspace(-3.2, 3.2, m)
+        domain = f"uniform grid of {m} points per axis on [-3.2, 3.2]"
     else:
         axis = np.asarray(grid, dtype=float)
         m = axis.size
+        domain = f"grid of {m} points per axis on [{float(np.min(axis))!r}, {float(np.max(axis))!r}]"
 
     if n == 1:
         pts = axis[:, None]
@@ -497,7 +569,7 @@ def verify_partition_per_cell(w: WindowFunction, grid=None) -> VerificationRepor
     return VerificationReport(
         kind="partition",
         params={"n": n},
-        domain_description=f"uniform grid of {m} points per axis on [-3.2, 3.2], 9^n cells",
+        domain_description=f"{domain}, 9^n cells",
         points_checked=int(pts.shape[0]),
         min_margin=float(worst_margin),
         worst_point=tuple(wp),
@@ -740,3 +812,38 @@ def fit_growth_envelope_per_b(norms, lhs_values, regime: str,
                key=lambda fit: fit["b"])
     best["min_residual"] = float(np.min(best["residuals"]))
     return best
+
+
+def exp_minus_one_norm_per_row(u: SampledFunction, params: NormParams, *, record: bool = False):
+    """exp_minus_one_norm on one function through refine and mod_norm_record.
+
+    The route the package took before the lambda-scan ran as stacks.
+    """
+    if not (1.0 < params.p < math.inf):
+        raise ValueError(f"exp_minus_one_norm requires 1 < p < inf, got p = {params.p}")
+    scale = max(1.0, float(np.max(np.abs(u.values.real))))
+    worst = float(np.max(np.abs(u.values.imag)))
+    if worst > 1e-10 * scale:
+        raise ValueError(f"exp_minus_one_norm requires real-valued input "
+                         f"(max |imag| = {worst:.3g})")
+    fine = refine(u.copy_with(u.values.real.astype(np.complex128)), _OVERSAMPLE)
+    composed = fine.copy_with(np.exp(1j * fine.values.real) - 1.0)
+    rec = mod_norm_record(composed, params)
+    if rec["truncation_tail"] > 1e-6:
+        raise ValueError(
+            "spectral tail {:.3g} of e^(iu)-1 exceeds 1e-6 of the total; "
+            "refine the grid".format(rec["truncation_tail"]))
+    return rec if record else rec["value"]
+
+
+def bound_scan_per_row(u: SampledFunction, params: NormParams, lambdas) -> list:
+    """bound_scan with one mod_norm and one exp_minus_one_norm_per_row per lambda."""
+    rows = []
+    for lam in map(float, lambdas):
+        scaled = u.copy_with(lam * u.values)
+        rows.append({
+            "lambda": lam,
+            "norm_u": mod_norm(scaled, params),
+            "lhs": exp_minus_one_norm_per_row(scaled, params),
+        })
+    return rows

@@ -18,6 +18,8 @@ from modspaces.cli import _CONFIG, _config_problem, main
 from modspaces.modspace import SampledFunction, load_function, save_function
 from modspaces.specialfn import density_by_name
 
+import _oracles as orc
+
 
 def run_cli(capsys, *argv):
     """Invoke the CLI in-process; returns (exit_code, stdout_doc, stderr)."""
@@ -804,25 +806,61 @@ def test_report_merge_of_any_documents_is_one_strict_json_verdict(docs):
 
 
 def test_verify_superposition_fits_once_per_regime(monkeypatch):
-    # the scans only scan: 5 fixtures x 4 lambdas, pooled into one fit
-    # per regime; a fit per fixture would make 7 fit calls
-    calls = {"fit_growth_envelope": 0, "exp_minus_one_norm": 0}
+    # the scans only scan: every fixture's lambdas run as one stack (four
+    # transforms however many fixtures), pooled into one fit per regime;
+    # a fit per fixture would make 7 fit calls
+    def run(n_fixtures):
+        fits, ffts, scanning = [], [], []
 
-    def counting(module, name):
-        fn = getattr(module, name)
+        def counting(module, name):
+            fn = getattr(module, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
+            def wrapper(*args, **kwargs):
+                fits.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
 
-    counting(cli, "fit_growth_envelope")
-    counting(superpose, "fit_growth_envelope")
-    counting(superpose, "exp_minus_one_norm")
-    out = cli.verify_superposition("full", {})
-    assert {"growth_envelope_gevrey", "growth_envelope_loglog"} <= {
-        c["kind"] for c in out["checks"]}
-    assert calls == {"fit_growth_envelope": 2, "exp_minus_one_norm": 20}
+        counting(cli, "fit_growth_envelope")
+        counting(superpose, "fit_growth_envelope")
+        for name in ("fft", "ifft", "fftn", "ifftn"):
+            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                if scanning:
+                    ffts.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+
+        def scan(*args, _scan=cli._scan_rows, **kwargs):
+            scanning.append(True)
+            try:
+                return _scan(*args, **kwargs)
+            finally:
+                scanning.pop()
+        monkeypatch.setattr(cli, "_scan_rows", scan)
+
+        out = cli.verify_superposition("full", {"superposition": {"n_fixtures": n_fixtures}})
+        monkeypatch.undo()
+        assert {"growth_envelope_gevrey", "growth_envelope_loglog"} <= {
+            c["kind"] for c in out["checks"]}
+        return len(fits), ffts
+
+    assert run(1) == run(5) == (2, ["fftn", "fftn", "ifftn", "fftn"])
+
+
+@pytest.mark.parametrize("n_pairs", [1, 7])
+def test_algebra_corpus_stack_matches_one_function_at_a_time(n_pairs):
+    # drawn and inverse-transformed as one stack, the same floats as the
+    # per-mode generator and one inverse transform per function
+    phase, scale = modspace._normalization(1, math.pi, 128)
+    pairs = cli._algebra_corpus(n_pairs)
+    assert len(pairs) == n_pairs
+    for i, pair in enumerate(pairs):
+        for seed, got in zip((100 + 2 * i, 101 + 2 * i), pair):
+            spectrum = orc.random_bandlimited_per_mode(1, math.pi, 128, 20.0, True, seed).spectrum
+            values = np.fft.ifftn(spectrum * phase / scale)
+            assert (got.n, got.L, got.N) == (1, math.pi, 128)
+            for a, b in ((got.values, values), (got.spectrum, spectrum)):
+                assert np.array_equal(a.view(float), b.view(float))
+                assert np.array_equal(np.signbit(a.view(float)), np.signbit(b.view(float)))
 
 
 def test_verify_algebra_runs_a_fixed_number_of_transforms(monkeypatch):

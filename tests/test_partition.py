@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modspaces import partition
 from modspaces.partition import (
+    _sigma_axis,
     build_window,
     rho1,
     sigma_eval,
@@ -183,3 +185,163 @@ def test_verify_partition_matches_per_cell_route(n, grid):
     # separable axis factors against sigma_eval at every point for every cell
     got = verify_partition(build_window(n), grid)
     assert got.to_dict() == orc.verify_partition_per_cell(build_window(n), grid).to_dict()
+
+
+# ----------------------------------------------------------------------
+# lattice indices and grids are checked, not coerced
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [0.5, 1.7, True, np.bool_(True), "1", np.float64(1.0)])
+def test_sigma_rejects_a_non_integer_cell(k):
+    with pytest.raises(ValueError, match="k must be an integer"):
+        sigma_eval(build_window(1), k, 0.3)
+
+
+@pytest.mark.parametrize("alpha", [(1.7,), (True,), (np.float64(1.0),)])
+def test_sigma_partial_rejects_a_non_integer_order(alpha):
+    with pytest.raises(ValueError, match="alpha must be an integer"):
+        sigma_partial(build_window(1), 0, 0.7, alpha)
+
+
+def test_sigma_accepts_python_and_numpy_integers():
+    w = build_window(2)
+    pts = np.array([[0.3, -0.8], [1.2, 0.1]])
+    expect = sigma_partial(w, (1, 0), pts, (1, 0))
+    for k in [(np.int64(1), np.int32(0)), np.array([1, 0]), [1, 0]]:
+        assert np.array_equal(sigma_partial(w, k, pts, np.array([1, 0])), expect)
+    with pytest.raises(ValueError, match="k must have length 2"):
+        sigma_eval(w, (1, 0, 0), pts)
+
+
+@pytest.mark.parametrize("grid,match", [
+    ([], "at least one point"),
+    ([0.0, np.nan, 1.0], "entry 1 is nan"),
+    ([0.0, np.inf], "entry 1 is inf"),
+    (np.zeros((3, 2)), "1-d axis"),
+    (["a"], "grid must be"),
+])
+def test_verify_partition_rejects_a_bad_grid(grid, match):
+    with pytest.raises(ValueError, match=match):
+        verify_partition(build_window(1), grid)
+
+
+def test_verify_partition_describes_its_grid():
+    assert verify_partition(build_window(1)).domain_description == (
+        "uniform grid of 10000 points per axis on [-3.2, 3.2], 9^n cells")
+    got = verify_partition(build_window(2), _UNEVEN_AXIS).domain_description
+    assert got == f"grid of {_UNEVEN_AXIS.size} points per axis on [-3.7, 3.5], 9^n cells"
+
+
+# ----------------------------------------------------------------------
+# the one-pass kernel against the per-order chain
+# ----------------------------------------------------------------------
+
+def _ulps(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+_KERNEL_POINTS = np.concatenate([
+    np.arange(-6.0, 7.0),
+    *(_ulps(v) for v in (0.5, -0.5, 1.0, -1.0, 1.5, -2.5)),
+    [0.0, -0.0, 257.3, -256.9, 257.5, -257.0, 0.999999, 0.500001],
+    np.random.default_rng(29).uniform(-4.0, 4.0, 300),
+])
+
+
+def _same_floats(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_kernel_matches_the_per_order_chain(order):
+    x = _KERNEL_POINTS
+    assert _same_floats(rho1(x, order), orc.rho1_chain(x, order))
+    for k in (0, 3, -257, np.arange(-4, 5)[:, None]):
+        assert _same_floats(_sigma_axis(x, k, order), orc.sigma_axis_chain(x, k, order))
+    # per-point cells, as modspace._axis_sigma_band passes them
+    ks = np.rint(x).astype(np.int64) + np.resize([-1, 0, 1], x.size)
+    assert _same_floats(_sigma_axis(x, ks, order), orc.sigma_axis_chain(x, ks, order))
+    assert _sigma_axis(0.25, 0, order) == orc.sigma_axis_chain(0.25, 0, order)
+
+
+def test_verify_partition_makes_a_fixed_number_of_kernel_calls(monkeypatch):
+    # factors on the axis, at the integers, per axis for the translation
+    # probe and per axis and order for the derivative probe: 1 + 1 + 2 + 6
+    def calls(m):
+        count = [0]
+        real = partition._sigma_axis
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(partition, "_sigma_axis", counted)
+        rep = verify_partition(build_window(2), np.linspace(-3.2, 3.2, m))
+        monkeypatch.undo()
+        assert rep.passed and rep.points_checked == m * m
+        return count[0]
+
+    assert calls(41) == calls(101) == 10
+
+
+# ----------------------------------------------------------------------
+# negative controls: a broken kernel fails through both routes alike
+# ----------------------------------------------------------------------
+
+def _scaled(val, d):
+    return val * (1.0 + 1e-9)
+
+
+def _dropped(val, d, k):
+    return np.where(np.asarray(k) == 1, 0.0, val)
+
+
+def _leaking(val, d):
+    return val + np.where((np.abs(d) >= 1.0) & (np.abs(d) < 1.2), 1e-3, 0.0)
+
+
+def _low_plateau(val, d):
+    return np.where(np.abs(d) <= 0.5, 0.5 * val, val)
+
+
+@pytest.mark.parametrize("perturb,failing", [
+    (_scaled, {"sum_to_one", "range"}),
+    (_dropped, {"sum_to_one", "lower_bound"}),
+    (_leaking, {"support"}),
+    (_low_plateau, {"lower_bound"}),
+], ids=["scaled", "dropped-cell", "leak", "low-plateau"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_verify_partition_negative_controls(monkeypatch, n, perturb, failing):
+    real = partition._sigma_axis
+
+    def broken(x, k, order=0):
+        val = real(x, k, order)
+        d = np.asarray(x, dtype=float) - k
+        return perturb(val, d, k) if perturb is _dropped else perturb(val, d)
+
+    monkeypatch.setattr(partition, "_sigma_axis", broken)
+    grid = np.linspace(-3.2, 3.2, 41)
+    got = verify_partition(build_window(n), grid)
+    assert not got.passed and got.min_margin < 0.0
+    checks = got.extra["checks"]
+    for name in failing:
+        assert checks[name]["deviation"] > checks[name]["threshold"]
+    worst = checks[got.extra["worst_check"]]
+    assert worst["threshold"] - worst["deviation"] == got.min_margin
+    assert got.to_dict() == orc.verify_partition_per_cell(build_window(n), grid).to_dict()
+
+
+_AXIS_POINT = st.one_of(
+    st.floats(min_value=-8.0, max_value=8.0, allow_nan=False),
+    st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.5]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2]),
+       st.lists(_AXIS_POINT, min_size=1, max_size=40).flatmap(
+           lambda xs: st.permutations(xs + xs[: len(xs) // 2])))
+def test_verify_partition_matches_per_cell_route_on_any_axis(n, axis):
+    # unsorted, with repeats, possibly far from every cell
+    got = verify_partition(build_window(n), axis)
+    assert got.to_dict() == orc.verify_partition_per_cell(build_window(n), axis).to_dict()

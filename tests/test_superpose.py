@@ -1,6 +1,7 @@
 """Phase splitting, product identity, composition norms, growth envelopes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from modspaces.modspace import (
 )
 from modspaces.specialfn import density_by_name
 from modspaces.superpose import (
+    _scan_rows,
     bound_scan,
     compose,
     exp_minus_one_norm,
@@ -306,6 +308,82 @@ def test_fit_growth_envelope_matches_per_b_route(points, regime):
     assert set(fast) == set(_FIT_FIELDS)
     for key in _FIT_FIELDS:
         assert np.array_equal(fast[key], slow[key]), key
+
+
+def _real_fixture(seed, *, n=1, L=PI, N=64, B=6.0, peak=1.0):
+    u = synthesize("random_bandlimited", n=n, L=L, N=N, seed=seed, B=B)
+    u = u.copy_with(u.values.real.astype(np.complex128))
+    return u.copy_with(u.values * (peak / np.max(np.abs(u.values))))
+
+
+def _scan_cases():
+    gevrey = NormParams(p=2.0, q=1.0, weight=WeightSpec.gevrey(s=2.0), mode="lattice")
+    campaign = []
+    for i in range(5):  # the superposition family's fixtures
+        f = synthesize("random_bandlimited", n=1, N=256, seed=300 + i, B=12.0)
+        f = f.copy_with(f.values.real.astype(np.complex128))
+        campaign.append(f.copy_with(f.values * (0.5 / mod_norm(f, gevrey))))
+    return {
+        "campaign": (campaign, gevrey, [2.0, 4.0, 8.0, 16.0]),
+        "2-d": ([_real_fixture(340, n=2, N=16, B=3.0), _real_fixture(341, n=2, N=16, B=2.0)],
+                NormParams(2.0, 2.0, WeightSpec.polynomial(1.0)), [0.5, 1.0]),
+        # a 512^2 refined row: 4 rows per stack, so the scan runs in two parts
+        "2-d-in-parts": ([_real_fixture(343, n=2, N=128, B=3.0)],
+                         NormParams(2.0, 1.0, WeightSpec.gevrey(2.0)), [0.25, 0.5, 1.0, 1.5, 2.0]),
+        "continuum": ([_real_fixture(342, L=3.5, B=4.0)],
+                      NormParams(2.0, 2.0, WeightSpec.gevrey(2.0), mode="continuum"), [0.5, 1.0]),
+        # rows 0 and 1 keep every mode; row 2 warns
+        "warning-rows": ([_real_fixture(311)],
+                         NormParams(2.0, 1.0, WeightSpec.polynomial(0.0), k_max=20),
+                         [0.25, 0.5, 1.0]),
+    }
+
+
+def _recorded(fn, *args):
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, sorted(str(w.message) for w in got if w.category is TruncationWarning)
+
+
+@pytest.mark.parametrize("case", ["campaign", "2-d", "2-d-in-parts", "continuum", "warning-rows"])
+def test_scan_stack_matches_the_per_row_route(case):
+    fixtures, params, lambdas = _scan_cases()[case]
+    got, got_warned = _recorded(_scan_rows, fixtures, params, lambdas)
+    expect, expect_warned = _recorded(
+        lambda: [row for u in fixtures for row in orc.bound_scan_per_row(u, params, lambdas)])
+    assert got == expect
+    assert got_warned == expect_warned
+    assert len(got_warned) == (1 if case == "warning-rows" else 0)
+    if len(fixtures) == 1:
+        assert _recorded(bound_scan, fixtures[0], params, lambdas) == (got, got_warned)
+    for u in fixtures:
+        got_rec, got_warned = _recorded(lambda: exp_minus_one_norm(u, params, record=True))
+        expect_rec, expect_warned = _recorded(
+            lambda: orc.exp_minus_one_norm_per_row(u, params, record=True))
+        assert got_rec == expect_rec and got_warned == expect_warned
+
+
+@pytest.mark.parametrize("lambdas", [[0.25, 0.5], [0.5]])
+def test_scan_tail_error_matches_the_per_row_route(lambdas):
+    # the lambda = 0.5 row leaves 1.1e-6 of e^(iu)-1 beyond k_max = 14
+    u = _real_fixture(311)
+    params = NormParams(2.0, 1.0, WeightSpec.polynomial(0.0), k_max=14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        with pytest.raises(ValueError, match="refine the grid") as got:
+            bound_scan(u, params, lambdas)
+        with pytest.raises(ValueError, match="refine the grid") as expect:
+            orc.bound_scan_per_row(u, params, lambdas)
+    assert str(got.value) == str(expect.value)
+
+
+def test_scan_rows_need_one_grid_and_allow_no_rows():
+    u, v = _real_fixture(350), _real_fixture(351, N=128)
+    params = NormParams(2.0, 1.0, WeightSpec.polynomial(0.0))
+    assert bound_scan(u, params, []) == []
+    with pytest.raises(ValueError, match="share a grid"):
+        _scan_rows([u, v], params, [1.0])
 
 
 @pytest.mark.parametrize(
