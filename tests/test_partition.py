@@ -288,7 +288,8 @@ def test_verify_partition_makes_a_fixed_number_of_kernel_calls(monkeypatch):
 # negative controls: a broken kernel fails through both routes alike
 # ----------------------------------------------------------------------
 
-def _scaled(val, d):
+# each maps the true factor val of cell k at distance d = x - k to a broken one
+def _scaled(val, d, k):
     return val * (1.0 + 1e-9)
 
 
@@ -296,11 +297,11 @@ def _dropped(val, d, k):
     return np.where(np.asarray(k) == 1, 0.0, val)
 
 
-def _leaking(val, d):
+def _leaking(val, d, k):
     return val + np.where((np.abs(d) >= 1.0) & (np.abs(d) < 1.2), 1e-3, 0.0)
 
 
-def _low_plateau(val, d):
+def _low_plateau(val, d, k):
     return np.where(np.abs(d) <= 0.5, 0.5 * val, val)
 
 
@@ -315,9 +316,7 @@ def test_verify_partition_negative_controls(monkeypatch, n, perturb, failing):
     real = partition._sigma_axis
 
     def broken(x, k, order=0):
-        val = real(x, k, order)
-        d = np.asarray(x, dtype=float) - k
-        return perturb(val, d, k) if perturb is _dropped else perturb(val, d)
+        return perturb(real(x, k, order), np.asarray(x, dtype=float) - k, k)
 
     monkeypatch.setattr(partition, "_sigma_axis", broken)
     grid = np.linspace(-3.2, 3.2, 41)
