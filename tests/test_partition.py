@@ -298,19 +298,41 @@ def _dropped(val, d, k):
 
 
 def _leaking(val, d, k):
-    return val + np.where((np.abs(d) >= 1.0) & (np.abs(d) < 1.2), 1e-3, 0.0)
+    # cell 1 alone leaks, most at |d| = 1 (x = 0 is a grid point)
+    band = (np.asarray(k) == 1) & (np.abs(d) >= 1.0) & (np.abs(d) < 1.2)
+    return val + np.where(band, 1e-3 * (1.2 - np.abs(d)), 0.0)
+
+
+def _leaking_off_diagonal(val, d, k):
+    # cell 2 alone leaks, at x = 0.96: in 2-d the worst cell is (0, 2),
+    # whose leak lies off the support along the second axis
+    band = (np.asarray(k) == 2) & (np.abs(d) >= 1.0) & (np.abs(d) < 1.2)
+    return val + np.where(band, 1e-3, 0.0)
 
 
 def _low_plateau(val, d, k):
     return np.where(np.abs(d) <= 0.5, 0.5 * val, val)
 
 
+def _undershoot(val, d, k):
+    # a negative factor makes the mixed corner products the extremes
+    return val - np.where((np.abs(d) > 0.9) & (np.abs(d) < 1.0), 1e-3, 0.0)
+
+
+def _negative_plateau(val, d, k):
+    return np.where((np.asarray(k) == 1) & (np.abs(d) <= 0.5), -val, val)
+
+
 @pytest.mark.parametrize("perturb,failing", [
     (_scaled, {"sum_to_one", "range"}),
     (_dropped, {"sum_to_one", "lower_bound"}),
     (_leaking, {"support"}),
+    (_leaking_off_diagonal, {"support"}),
     (_low_plateau, {"lower_bound"}),
-], ids=["scaled", "dropped-cell", "leak", "low-plateau"])
+    (_undershoot, {"range"}),
+    (_negative_plateau, {"range", "lower_bound"}),
+], ids=["scaled", "dropped-cell", "leak", "leak-off-diagonal", "low-plateau", "undershoot",
+        "negative-plateau"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_verify_partition_negative_controls(monkeypatch, n, perturb, failing):
     real = partition._sigma_axis
